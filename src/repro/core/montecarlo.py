@@ -41,9 +41,12 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..obs.spans import span
 from ..sim.rng import fallback_stream
 from ..sim.trace import TraceRecord
+from .collisions import collided_flags
 from .identifiers import IdentifierSpace
 from .transactions import TransactionLog
 
@@ -375,9 +378,10 @@ def _montecarlo_segment(
     f"segment:{index}")``, derived by the caller), so segments are
     independent of each other and of how many workers computed them.
     Returns a JSON-transportable summary: packed start times and
-    identifiers, the indices flagged by the *local* replay, the
-    boundary-crossing tail, and density aggregates.  Cross-segment
-    collisions are the parent's stitching job.
+    identifiers, the indices the collision kernel
+    (:func:`repro.core.collisions.collided_flags`) flags within the
+    segment, the boundary-crossing tail, and density aggregates.
+    Cross-segment collisions are the parent's stitching job.
 
     With ``trace_path`` the segment also streams its begin/end records
     into a trace shard there (see :mod:`repro.obs.envelope`) —
@@ -393,9 +397,9 @@ def _montecarlo_segment(
         )
         sample = space.sample
         identifiers = [sample(rng) for _ in starts]
-    log = TransactionLog()
+    ends = [starts[seq] + durations[seq] for seq in range(len(starts))]
     with span("core.replay"):
-        _replay(starts, durations, identifiers, log, warmup=0.0)
+        flagged = np.flatnonzero(collided_flags(starts, ends, identifiers)).tolist()
     if trace_path is not None:
         from ..obs.envelope import write_trace
 
@@ -404,10 +408,6 @@ def _montecarlo_segment(
             _segment_records(starts, durations, identifiers, index),
             meta={"segment": index, "shards": shards},
         )
-    flagged = [
-        seq for seq, txn in enumerate(log.transactions) if log.collided(txn)
-    ]
-    ends = [starts[seq] + durations[seq] for seq in range(len(starts))]
     # Everything O(n) that the parent would otherwise do per segment is
     # done here, where segments run in parallel: the boundary-crossing
     # tail scan and the density aggregates.  Only the (small) tails and
@@ -460,12 +460,12 @@ def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float]) -
     open when the arrival begins (``carry.end > arrival.start`` — an
     end at exactly the begin's timestamp does not contend, matching the
     replay's tie rule).  Both parties are flagged; flags are sets, so a
-    transaction already flagged by its local replay is counted exactly
+    transaction already flagged within its own segment is counted exactly
     once.  Owner checks are unnecessary: every transaction has a fresh
     owner, so cross-segment pairs are always distinct nodes.
 
     Exact by construction: an overlapping pair either begins in the
-    same segment (caught by that segment's local replay) or spans the
+    same segment (caught by that segment's kernel pass) or spans the
     cut between their segments (so the earlier one is in the carry set
     when the later one begins).
     """

@@ -28,6 +28,11 @@ Exactness rests on three facts, each pinned by
   initial state by exactly the number of *consumed* draws, discarding
   the lookahead overdraw the block probing needed.
 
+Frame-fidelity windows draw their identifiers through the same
+transplant (:func:`sample_identifiers_fast`): ``randrange`` rejects on
+whole 32-bit words, which ``RandomState.randint`` over ``[0, 2**32)``
+yields one per draw from the same state.
+
 The fast path steps aside — returning ``None`` so callers fall back to
 the scalar loop — when NumPy is unavailable, when a DetSan sanitizer is
 active (SAN001's draw ledger must observe every scalar draw), when the
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 try:
     import numpy as _np
@@ -56,7 +61,13 @@ from .sampler import (
     window_collision_probability,
 )
 
-__all__ = ["HAVE_NUMPY", "fastpath_stats", "pure_sampling", "sample_window_fast"]
+__all__ = [
+    "HAVE_NUMPY",
+    "fastpath_stats",
+    "pure_sampling",
+    "sample_identifiers_fast",
+    "sample_window_fast",
+]
 
 #: Whether the vectorised path can exist at all in this environment.
 HAVE_NUMPY = _np is not None
@@ -91,20 +102,20 @@ def pure_sampling() -> Iterator[None]:
         _forced_pure = previous
 
 
-def _eligible(rng: random.Random) -> bool:
+def _eligible(rng: random.Random, draws: Tuple[str, ...] = ("random",)) -> bool:
+    """Whether ``rng``'s state may be transplanted for the given draw methods."""
     if _np is None or _forced_pure:
         return False
     if active_sanitizer() is not None:
         return False
-    cls = type(rng)
     if not isinstance(rng, random.Random):
         return False
     # An instrumented/overridden stream must keep drawing through its
     # own methods; only the plain C implementation is transplantable.
-    return (
-        cls.random is random.Random.random
-        and cls.getstate is random.Random.getstate
-        and cls.setstate is random.Random.setstate
+    cls = type(rng)
+    return all(
+        getattr(cls, name) is getattr(random.Random, name)
+        for name in draws + ("getstate", "setstate")
     )
 
 
@@ -125,14 +136,19 @@ def _rebuild(rs: Any, state: Tuple[Any, ...]) -> Any:
     return rs
 
 
+def _store(rng: random.Random, rs: Any, state: Tuple[Any, ...]) -> None:
+    """Move ``rng`` to ``rs``'s position (``state`` supplies the gauss slot)."""
+    _kind, keys, pos, _has_gauss, _gauss = rs.get_state(legacy=True)
+    rng.setstate((_MT_VERSION, tuple(keys.tolist()) + (int(pos),), state[2]))
+
+
 def _writeback(rng: random.Random, state: Tuple[Any, ...], consumed: int) -> None:
     """Advance ``rng`` past exactly ``consumed`` draws from ``state``."""
     global _advance_state
     _advance_state = rs = _rebuild(_advance_state, state)
     if consumed:
         rs.random_sample(consumed)
-    _kind, keys, pos, _has_gauss, _gauss = rs.get_state(legacy=True)
-    rng.setstate((_MT_VERSION, tuple(keys.tolist()) + (int(pos),), state[2]))
+    _store(rng, rs, state)
 
 
 class _UniformTape:
@@ -251,9 +267,52 @@ def sample_window_fast(
         block = rs.random_sample(min(remaining, _BERNOULLI_BLOCK))
         collisions += int(_np.count_nonzero(block < p))
         remaining -= int(block.shape[0])
-    _kind, keys, pos, _has_gauss, _gauss = rs.get_state(legacy=True)
-    rng.setstate((_MT_VERSION, tuple(keys.tolist()) + (int(pos),), state[2]))
+    _store(rng, rs, state)
     return WindowOutcome(window.index, "flow", n, collisions, window.density)
+
+
+#: Below this many identifier draws the scalar loop beats the state
+#: rebuild and write-back; both paths are bit-identical.
+_MIN_FAST_IDS = 1024
+
+#: The methods ``IdentifierSpace.sample`` draws through.
+_ID_DRAWS = ("randrange", "_randbelow", "getrandbits")
+
+
+def sample_identifiers_fast(id_bits: int, rng: random.Random, n: int) -> Optional[Any]:
+    """``n`` draws of ``IdentifierSpace(id_bits).sample(rng)``, or ``None``.
+
+    ``sample`` is ``rng.randrange(2**id_bits)``, which CPython draws by
+    rejection on ``getrandbits(k)`` with ``k = (2**id_bits).bit_length()``:
+    for ``k <= 32`` one MT19937 word shifted right by ``32 - k`` per
+    attempt, kept when below the space size.  Each round here draws
+    exactly as many words as identifiers are still missing — the scalar
+    loop would consume at least that many — so nothing is overdrawn and
+    the transplanted state's final position is the stream's.
+
+    ``None`` means "not eligible here — run the scalar loop"; a
+    returned ``int64`` array is bit-identical to the loop's draws, and
+    ``rng`` is left where the loop would leave it.
+    """
+    size = 1 << id_bits
+    k = size.bit_length()
+    if n < _MIN_FAST_IDS or k > 32 or not _eligible(rng, _ID_DRAWS):
+        return None
+    state = rng.getstate()
+    if state[0] != _MT_VERSION or len(state[1]) != 625:
+        return None
+    global _tape_state
+    _tape_state = rs = _rebuild(_tape_state, state)
+    shift = _np.uint32(32 - k)
+    kept: List[Any] = []
+    missing = n
+    while missing:
+        words = rs.randint(0, 1 << 32, size=missing, dtype=_np.uint32) >> shift
+        accepted = words[words < size]
+        kept.append(accepted)
+        missing -= int(accepted.shape[0])
+    _store(rng, rs, state)
+    return _np.concatenate(kept).astype(_np.int64)
 
 
 def fastpath_stats() -> Dict[str, bool]:

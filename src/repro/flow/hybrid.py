@@ -9,9 +9,13 @@ for.  :func:`simulate` runs one scenario at a chosen fidelity:
 ``flow``
     every window sampled analytically (:mod:`repro.flow.sampler`);
 ``frame``
-    every window replayed by the discrete event core
-    (:func:`repro.core.montecarlo._replay` against a
-    :class:`~repro.core.transactions.TransactionLog`);
+    every window replayed transaction by transaction: real Poisson
+    arrivals and real identifier draws, judged by the paper's success
+    criterion (§4.1) in the vectorised collision kernel
+    :func:`repro.core.collisions.collided_flags` — arrival-ordered
+    ``a`` before ``b`` with the same identifier both collide iff
+    ``end_a > start_b``, so an end at exactly a begin's timestamp does
+    not contend (the discrete event core's tie rule);
 ``hybrid``
     windows whose offered density reaches ``switch_threshold`` drop to
     frame fidelity, the rest stay flow-level, and the outcomes stitch
@@ -31,15 +35,18 @@ windows should be sized at least several transaction durations wide
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
+import numpy as np
+
+from ..core.collisions import collided_flags
 from ..core.identifiers import IdentifierSpace
-from ..core.montecarlo import FixedDuration, _generate_arrivals, _replay
-from ..core.transactions import TransactionLog
+from ..core.montecarlo import FixedDuration, _generate_arrivals
 from ..obs.envelope import TraceWriter
 from ..obs.metrics import active_metrics
 from ..obs.spans import span
 from ..sim.rng import RngRegistry
+from .fastpath import sample_identifiers_fast
 from .sampler import FlowResult, WindowOutcome, WindowSpec, sample_window, window_plan
 from .streams import FlowScenario
 
@@ -64,53 +71,66 @@ def frame_window(
     """Replay one window at frame-level fidelity.
 
     Per-stream Poisson arrivals are generated inside the window's
-    active overlap from the stream ``flow.frame.<k>.arrivals.<label>``,
-    merged in time order (ties break by the scenario's stream order),
-    identifiers drawn in merged arrival order from
-    ``flow.frame.<k>.identifiers``, and the whole window replayed
-    through the discrete event core's heap merge — the same collision
-    criterion, tie rules and all, as the Monte Carlo ground truth.
+    active overlap from the stream ``flow.frame.<k>.arrivals.<label>``
+    and merged in time order (ties break by the scenario's stream
+    order, then by arrival within a stream).  Identifiers are drawn in
+    merged arrival order from ``flow.frame.<k>.identifiers`` — through
+    the MT19937 state transplant of :mod:`repro.flow.fastpath` where
+    eligible, else the scalar ``IdentifierSpace.sample`` loop, with
+    identical draws either way.  The collision kernel
+    (:func:`repro.core.collisions.collided_flags`) then flags every
+    transaction that shares its identifier with an overlapping one:
+    ``a`` before ``b`` collide iff ``a.start + a.duration > b.start``,
+    the same criterion and tie rule as the Monte Carlo ground truth.
 
     With ``writer`` the window streams one record per transaction in
     arrival order (strictly inside ``(t0, t1)``, so a range shard's
     records stay time-sorted around the window boundary records the
     caller emits at ``t0``/``t1``).
     """
-    arrivals: List[Tuple[float, int, float]] = []
+    arrivals: List[float] = []
+    durations: List[float] = []
+    stream_order: List[int] = []
     for order, stream in enumerate(scenario.streams):
         lo = max(spec.t0, stream.start)
         hi = min(spec.t1, stream.stop)
         if hi <= lo or stream.arrival_rate <= 0:
             continue
         rng = registry.stream(f"flow.frame.{spec.index}.arrivals.{stream.label}")
-        starts, durations = _generate_arrivals(
+        starts, lengths = _generate_arrivals(
             stream.arrival_rate, FixedDuration(stream.duration), rng, lo, hi
         )
-        arrivals.extend(zip(starts, [order] * len(starts), durations))
-    arrivals.sort(key=lambda event: (event[0], event[1]))
-    starts_merged = [event[0] for event in arrivals]
-    durations_merged = [event[2] for event in arrivals]
-    space = IdentifierSpace(scenario.id_bits)
+        arrivals += starts
+        durations += lengths
+        stream_order += [order] * len(starts)
+    # Time order, ties by stream order; lexsort is stable, so arrivals
+    # tied within one stream keep their draw order.
+    merged = np.lexsort((stream_order, arrivals))
+    start = np.array(arrivals, dtype=np.float64)[merged]
+    end = start + np.array(durations, dtype=np.float64)[merged]
+    n = len(arrivals)
     id_rng = registry.stream(f"flow.frame.{spec.index}.identifiers")
-    sample = space.sample
-    identifiers = [sample(id_rng) for _ in starts_merged]
-    log = TransactionLog()
-    tracked = _replay(starts_merged, durations_merged, identifiers, log, warmup=0.0)
-    collided = sum(1 for txn in tracked if log.collided(txn))
+    identifiers: Any = sample_identifiers_fast(scenario.id_bits, id_rng, n)
+    if identifiers is None:
+        sample = IdentifierSpace(scenario.id_bits).sample
+        identifiers = np.array([sample(id_rng) for _ in range(n)], dtype=np.int64)
+    flags = collided_flags(start, end, identifiers)
     if writer is not None:
-        for when, ident, txn in zip(starts_merged, identifiers, tracked):
+        for when, ident, collided in zip(
+            start.tolist(), identifiers.tolist(), flags.tolist()
+        ):
             writer.emit(
                 when,
                 "flow.txn",
                 window=spec.index,
                 identifier=ident,
-                collided=log.collided(txn),
+                collided=collided,
             )
     return WindowOutcome(
         index=spec.index,
         fidelity="frame",
-        transactions=len(tracked),
-        collisions=collided,
+        transactions=n,
+        collisions=int(np.count_nonzero(flags)),
         density=spec.density,
     )
 

@@ -11,11 +11,17 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.identifiers import IdentifierSpace
 from repro.flow.fastpath import (
     HAVE_NUMPY,
+    _MIN_FAST_IDS,
     _MIN_FAST_MEAN,
     fastpath_stats,
     pure_sampling,
+    sample_identifiers_fast,
     sample_window_fast,
 )
 from repro.flow.sampler import WindowSpec, sample_window
@@ -179,3 +185,68 @@ class TestEligibilityGates:
         with sanitizing():
             sanitized = sample_window(window, 10, random.Random(8))
         assert sanitized == plain
+
+
+def _scalar_identifiers(id_bits, rng, n):
+    sample = IdentifierSpace(id_bits).sample
+    return [sample(rng) for _ in range(n)]
+
+
+@needs_numpy
+class TestIdentifierTransplant:
+    """Vectorised identifier draws == the ``IdentifierSpace.sample`` loop."""
+
+    @pytest.mark.parametrize("id_bits", [0, 1, 4, 10, 16, 21, 30])
+    @pytest.mark.parametrize("n", [_MIN_FAST_IDS, 5000])
+    def test_draws_and_final_state_match_scalar_loop(self, id_bits, n):
+        fast_rng = random.Random(id_bits * 1000 + n)
+        fast_rng.gauss(0.0, 1.0)  # populate the gauss slot the state carries
+        pure_rng = random.Random()
+        pure_rng.setstate(fast_rng.getstate())
+        fast = sample_identifiers_fast(id_bits, fast_rng, n)
+        assert fast is not None
+        assert fast.tolist() == _scalar_identifiers(id_bits, pure_rng, n)
+        assert fast_rng.getstate() == pure_rng.getstate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        id_bits=st.sampled_from([0, 1, 4, 10, 16, 21, 30, 31]),
+        n=st.integers(_MIN_FAST_IDS, 3 * _MIN_FAST_IDS),
+    )
+    def test_any_seed(self, seed, id_bits, n):
+        fast_rng, pure_rng = random.Random(seed), random.Random(seed)
+        fast = sample_identifiers_fast(id_bits, fast_rng, n)
+        assert fast.tolist() == _scalar_identifiers(id_bits, pure_rng, n)
+        assert fast_rng.getstate() == pure_rng.getstate()
+
+    def test_small_batches_use_scalar_loop(self):
+        assert sample_identifiers_fast(10, random.Random(0), _MIN_FAST_IDS - 1) is None
+
+    def test_identifiers_wider_than_one_word_use_scalar_loop(self):
+        # randrange(2**31) already needs getrandbits(32); 2**32 needs 33.
+        assert sample_identifiers_fast(31, random.Random(0), 5000) is not None
+        assert sample_identifiers_fast(32, random.Random(0), 5000) is None
+
+    def test_pure_sampling_forces_scalar(self):
+        with pure_sampling():
+            assert sample_identifiers_fast(10, random.Random(0), 5000) is None
+
+    def test_sanitizer_forces_scalar(self):
+        from repro.analysis.sanitizer.runtime import sanitizing
+
+        with sanitizing():
+            assert sample_identifiers_fast(10, random.Random(0), 5000) is None
+
+    def test_subclassed_rng_is_ineligible(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                type(self).calls += 1
+                return super().getrandbits(k)
+
+        rng = Counting(0)
+        assert sample_identifiers_fast(10, rng, 5000) is None
+        _scalar_identifiers(10, rng, 10)
+        assert Counting.calls > 0

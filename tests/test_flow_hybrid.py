@@ -106,6 +106,123 @@ class TestFrameWindowBitIdentity:
         assert perturbed == fresh
 
 
+def _dense_scenario() -> FlowScenario:
+    """Two streams dense enough for the vectorised identifier draws."""
+    streams = (
+        TransactionStream("a", 300.0, 0.05),
+        TransactionStream("b", 200.0, 0.02, start=2.0),
+    )
+    return FlowScenario(id_bits=8, horizon=10.0, window=5.0, streams=streams)
+
+
+class _Recorder:
+    """Stands in for a TraceWriter: keeps every emitted record."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, when, category, **fields):
+        self.records.append((when, category, fields))
+
+
+class TestFrameWindowPaths:
+    """The identifier fast path and the scalar loop give the same window."""
+
+    def _run(self, spec, monkeypatch):
+        from repro.core.identifiers import IdentifierSpace
+
+        calls = []
+        original = IdentifierSpace.sample
+
+        def counting(space, rng):
+            calls.append(1)
+            return original(space, rng)
+
+        monkeypatch.setattr(IdentifierSpace, "sample", counting)
+        recorder = _Recorder()
+        outcome = frame_window(_dense_scenario(), spec, RngRegistry(5), recorder)
+        monkeypatch.setattr(IdentifierSpace, "sample", original)
+        return outcome, recorder.records, len(calls)
+
+    def test_scalar_loop_under_pure_sampling_and_sanitizer(self, monkeypatch):
+        from repro.analysis.sanitizer.runtime import sanitizing
+        from repro.flow.fastpath import pure_sampling
+
+        spec = window_plan(_dense_scenario())[1]
+        fast, fast_records, fast_calls = self._run(spec, monkeypatch)
+        assert fast.transactions > 1024 and fast_calls == 0
+        with pure_sampling():
+            pure, pure_records, pure_calls = self._run(spec, monkeypatch)
+        with sanitizing():
+            sanitized, sanitized_records, sanitized_calls = self._run(
+                spec, monkeypatch
+            )
+        assert pure_calls == sanitized_calls == fast.transactions
+        assert pure == sanitized == fast
+        assert pure_records == sanitized_records == fast_records
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    @pytest.mark.parametrize("scenario", [_burst_scenario(), _dense_scenario()])
+    def test_matches_discrete_event_replay(self, scenario, seed):
+        # Reference pipeline: a Python tuple sort of the arrivals, one
+        # scalar identifier draw per transaction, and the discrete event
+        # replay against a TransactionLog.
+        from repro.core.identifiers import IdentifierSpace
+        from repro.core.montecarlo import FixedDuration, _generate_arrivals, _replay
+        from repro.core.transactions import TransactionLog
+
+        for spec in window_plan(scenario):
+            registry = RngRegistry(seed)
+            arrivals = []
+            for order, stream in enumerate(scenario.streams):
+                lo, hi = max(spec.t0, stream.start), min(spec.t1, stream.stop)
+                if hi <= lo:
+                    continue
+                rng = registry.stream(
+                    f"flow.frame.{spec.index}.arrivals.{stream.label}"
+                )
+                starts, durations = _generate_arrivals(
+                    stream.arrival_rate, FixedDuration(stream.duration), rng, lo, hi
+                )
+                arrivals += [(t, order, d) for t, d in zip(starts, durations)]
+            arrivals.sort(key=lambda event: (event[0], event[1]))
+            id_rng = registry.stream(f"flow.frame.{spec.index}.identifiers")
+            space = IdentifierSpace(scenario.id_bits)
+            identifiers = [space.sample(id_rng) for _ in arrivals]
+            log = TransactionLog()
+            tracked = _replay(
+                [a[0] for a in arrivals], [a[2] for a in arrivals],
+                identifiers, log, warmup=0.0,
+            )
+            expected = [
+                (a[0], "flow.txn",
+                 {"window": spec.index, "identifier": ident,
+                  "collided": log.collided(txn)})
+                for a, ident, txn in zip(arrivals, identifiers, tracked)
+            ]
+            recorder = _Recorder()
+            outcome = frame_window(scenario, spec, RngRegistry(seed), recorder)
+            assert recorder.records == expected
+            assert outcome.collisions == log.collision_count
+
+    def test_trace_fields_are_plain_python_scalars(self):
+        scenario = _dense_scenario()
+        recorder = _Recorder()
+        outcome = frame_window(
+            scenario, window_plan(scenario)[0], RngRegistry(5), recorder
+        )
+        assert len(recorder.records) == outcome.transactions
+        assert sum(f["collided"] for _, _, f in recorder.records) == outcome.collisions
+        for when, category, fields in recorder.records:
+            assert category == "flow.txn"
+            assert type(when) is float
+            assert type(fields["identifier"]) is int
+            assert type(fields["collided"]) is bool
+            assert type(fields["window"]) is int
+        times = [when for when, _, _ in recorder.records]
+        assert times == sorted(times)
+
+
 class TestFrameAccuracy:
     def test_frame_rate_tracks_model_in_stationary_window(self):
         scenario = figure4_scenario(4, 5.0, horizon=300.0, window=50.0)

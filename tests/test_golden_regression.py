@@ -152,3 +152,78 @@ class TestTrialSeedDerivation:
         ]
         assert mean == pytest.approx(0.20833333333333331, abs=1e-12)
         assert stdev == pytest.approx(0.032736425054932766, abs=1e-12)
+
+
+class TestEscalatedFrameWindowGolden:
+    """Pin a seeded hybrid run whose burst windows escalate to frame fidelity.
+
+    Frame windows replay every transaction through the collision kernel,
+    so these values encode the arrival merge, the identifier draws and
+    the collision criterion (tie rule included).  The serial and the
+    two-worker runs must produce the same result, the same counters and
+    the same trace bytes.
+    """
+
+    SCENARIO = dict(n_nodes=10_000, horizon=60, window=3)
+    SEED = 3
+    THRESHOLD = 70
+    TRACE_SHA256 = "21420975ee830ab7a69aefabbfae03d89902fa5106cb5cf3194e37eaca6cd7af"
+    WINDOWS_SHA256 = "5040b85e21adbcd1c7df4168670172094e4aae77b846025e65f89e947678b210"
+    FRAME_WINDOWS = [(9, 8352, 1898), (10, 8292, 1857)]
+    COUNTERS = {
+        "flow.collisions": 15658,
+        "flow.escalations": 2,
+        "flow.transactions": 124495,
+        "flow.windows": 20,
+    }
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        from repro.flow.streams import massive_scenario
+
+        return massive_scenario(**self.SCENARIO)
+
+    def _check(self, result):
+        import hashlib
+
+        assert result.transactions == 124495
+        assert result.collisions == 15658
+        frames = [
+            (w.index, w.transactions, w.collisions)
+            for w in result.windows
+            if w.fidelity == "frame"
+        ]
+        assert frames == self.FRAME_WINDOWS
+        digest = hashlib.sha256(repr(result.windows).encode()).hexdigest()
+        assert digest == self.WINDOWS_SHA256
+
+    def test_serial_result(self, scenario):
+        from repro.flow.hybrid import simulate
+
+        self._check(
+            simulate(
+                scenario, self.SEED, fidelity="hybrid",
+                switch_threshold=self.THRESHOLD,
+            )
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_result_counters_and_bytes(self, scenario, tmp_path, workers):
+        import hashlib
+
+        from repro.exec import TrialRunner
+        from repro.flow.shard import simulate_traced
+        from repro.obs.metrics import MetricsRegistry, collecting
+
+        path = tmp_path / "trace.jsonl"
+        with collecting(MetricsRegistry()) as registry:
+            result = simulate_traced(
+                scenario, self.SEED, path, fidelity="hybrid",
+                switch_threshold=self.THRESHOLD,
+                runner=TrialRunner(workers=workers),
+            )
+        self._check(result)
+        for name, value in self.COUNTERS.items():
+            assert registry.counter(name) == value
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.TRACE_SHA256

@@ -3,11 +3,12 @@
 Not a paper figure — these time the building blocks so performance
 regressions in the simulator or codec are caught: event-queue rate,
 fragmentation/reassembly throughput, selector draw rate, the analytic
-model's sweep speed, and the Monte Carlo single-trial path (fast event
-core vs the pre-optimisation implementation, plus horizon-shard
-scaling).  The Monte Carlo benchmark publishes ``micro_throughput``
-(→ ``micro_throughput.txt`` + ``BENCH_micro_throughput.json``), which
-``python -m repro bench-trend`` tracks across runs.
+model's sweep speed, and the Monte Carlo single-trial path (the
+collision-kernel path vs the pre-optimisation implementation, plus
+horizon-shard scaling).  The Monte Carlo benchmark publishes
+``micro_throughput`` (→ ``micro_throughput.txt`` +
+``BENCH_micro_throughput.json``), which ``python -m repro bench-trend``
+tracks across runs.
 """
 
 import itertools
@@ -103,7 +104,7 @@ def test_model_sweep_rate(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Monte Carlo single-trial throughput: fast event core + horizon shards
+# Monte Carlo single-trial throughput: kernel path + horizon shards
 # ----------------------------------------------------------------------
 # Baseline: a frozen replica of the Monte Carlo path as it stood before
 # the fast event core landed — dict-backed field-equality Transaction,
@@ -257,12 +258,12 @@ def _best_of(fn, repeats=3):
 
 
 def test_montecarlo_trial_throughput(benchmark, publish):
-    """Fast event core vs the pre-change baseline, plus shard scaling.
+    """Kernel path vs the pre-change baseline, plus shard scaling.
 
     Three measurements on one long-horizon trial (~24k transactions):
 
     * the frozen pre-optimisation implementation above;
-    * the current fast event core (also timed by pytest-benchmark, so
+    * the current kernel path (also timed by pytest-benchmark, so
       its mean feeds ``bench-trend``) — asserted bit-identical to the
       baseline;
     * the sharded path at ``shards=4`` with ``workers=1``, giving
@@ -323,7 +324,7 @@ def test_montecarlo_trial_throughput(benchmark, publish):
     overhead = best_sharded - sum(seg_walls)
     projected = fast_wall / (max(seg_walls) + overhead)
 
-    # timing stream for bench-trend: the fast core, measured properly
+    # timing stream for bench-trend: the kernel path, measured properly
     bench_result = benchmark(run_fast)
     assert bench_result == seed_result
 
@@ -332,7 +333,7 @@ def test_montecarlo_trial_throughput(benchmark, publish):
         f"(id_bits={_MC_ID_BITS}, rate={_MC_RATE}, horizon={_MC_HORIZON}, "
         f"seed={_MC_SEED}, ~{seed_result[0]} transactions)",
         f"  pre-change baseline : {seed_wall * 1000:8.1f} ms",
-        f"  fast event core     : {fast_wall * 1000:8.1f} ms  "
+        f"  kernel path         : {fast_wall * 1000:8.1f} ms  "
         f"({speedup:.2f}x, bit-identical)",
         f"  shards={_MC_SHARDS} (workers=1): {best_sharded * 1000:8.1f} ms wall, "
         f"segments {[round(s * 1000, 1) for s in seg_walls]} ms, "

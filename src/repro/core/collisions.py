@@ -1,4 +1,4 @@
-"""Vectorised ground-truth collision flags for a batch of transactions.
+"""Vectorised ground truth for a batch of transactions.
 
 With the full-mesh audience and a fresh owner per transaction, the
 paper's success criterion (Section 4.1) reduces to a comparison of
@@ -6,16 +6,18 @@ intervals: a transaction collides iff another transaction holds the
 same identifier over an overlapping interval.  For arrival-ordered
 transactions ``a`` before ``b`` with the same identifier, both collide
 iff ``end_a > start_b`` — an end at exactly a begin's timestamp does
-not contend.  That is the verdict the event replay
-(:func:`repro.core.montecarlo._replay` against a
-:class:`~repro.core.transactions.TransactionLog`) reaches, tie rules
-and all, without a heap, an open-by-identifier index or one object per
+not contend.  That is the verdict a discrete event replay against a
+:class:`~repro.core.transactions.TransactionLog` reaches, tie rules and
+all (``tests/oracles.py`` keeps that replay as the test oracle),
+without a heap, an open-by-identifier index or one object per
 transaction.
 
 :func:`collided_flags` only *compares* and takes maxima of the floats
 it is given, so its flags are exact: the only float arithmetic
 anywhere is the caller's ``start + duration``, the same addition the
-replay performs.
+replay performs.  :func:`mean_concurrency` measures the realised
+density ``T`` with the log's own float operations in the log's own
+order, so it too agrees with the replay bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 if TYPE_CHECKING:
     import numpy.typing as npt
 
-__all__ = ["collided_flags"]
+__all__ = ["collided_flags", "mean_concurrency"]
 
 
 def collided_flags(
@@ -77,3 +79,34 @@ def collided_flags(
     flags[order[:-1]] = same & (start[1:] < end[:-1])
     flags[order[1:]] |= same & (running[:-1] > start[1:])
     return flags
+
+
+def mean_concurrency(starts: npt.ArrayLike, ends: npt.ArrayLike) -> float:
+    """Time-weighted mean number of open transactions over ``[0, last]``.
+
+    ``last`` is the latest begin or end; ``0.0`` when there is none.
+    The result is bit-identical to
+    :meth:`repro.core.transactions.TransactionLog.measured_density`
+    after a replay of the same transactions: the 2n begin/end times are
+    stably sorted, the open count before each event is multiplied by
+    the gap since the previous event (the first gap counts from
+    ``0.0``), and the products are added *sequentially* — ``np.sum``
+    would add pairwise and round differently.  Events at equal times
+    contribute ``level * 0.0``, which is why the order of ties does not
+    matter.
+    """
+    start = np.asarray(starts, dtype=np.float64)
+    end = np.asarray(ends, dtype=np.float64)
+    n = int(start.shape[0])
+    if n == 0:
+        return 0.0
+    times = np.concatenate((start, end))
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    steps = np.repeat(np.array([1, -1], dtype=np.int64), n)[order]
+    level_before = np.cumsum(steps) - steps
+    gaps = np.diff(times, prepend=0.0)
+    last = float(times[-1])
+    if last <= 0.0:
+        return 0.0
+    return float(np.add.accumulate(level_before * gaps)[-1]) / last

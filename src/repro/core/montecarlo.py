@@ -8,19 +8,20 @@ the paper's model uses ("unique with respect to all other transactions
 mixed-duration extension (:func:`repro.core.model.p_success_mixed`)
 against brute-force truth.
 
-Two execution strategies share one event core:
+One collision engine serves every shard count: a time slice's arrivals
+and identifiers are drawn from one stream, then the vectorised kernel
+:func:`repro.core.collisions.collided_flags` flags every transaction
+that shares its identifier with an overlapping one.
 
-* ``shards=1`` (default) replays the whole horizon in-process with a
-  single merge of the time-ordered arrival stream against a min-heap of
-  pending end events — no materialised begin/end stream, no global
-  sort.  It is bit-for-bit identical to the historical
-  build-list/double/sort pipeline (kept as
-  :func:`_simulate_collision_rate_reference` for equivalence tests and
-  benchmarking).
+* ``shards=1`` (default) draws the whole horizon from one stream and
+  measures the density with :func:`repro.core.collisions.mean_concurrency`,
+  so results are bit-for-bit those of the historical event replay
+  against a :class:`~repro.core.transactions.TransactionLog` (kept in
+  ``tests/oracles.py`` as the equivalence oracle).
 * ``shards=N`` splits ``[0, horizon)`` into ``N`` time segments, each
   generating arrivals from an independent stream seeded with
-  ``derive_seed(seed, f"segment:{i}")`` and replaying locally; the
-  parent then stitches segment boundaries by replaying every carried
+  ``derive_seed(seed, f"segment:{i}")`` and flagging locally; the
+  parent then stitches segment boundaries by checking every carried
   (boundary-crossing) transaction against later segments' arrivals, so
   cross-boundary collisions are counted exactly once.  Results are a
   pure function of ``(seed, shards)``; segments fan out across a
@@ -39,16 +40,15 @@ import pathlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.spans import span
 from ..sim.rng import fallback_stream
 from ..sim.trace import TraceRecord
-from .collisions import collided_flags
+from .collisions import collided_flags, mean_concurrency
 from .identifiers import IdentifierSpace
-from .transactions import TransactionLog
 
 __all__ = [
     "ExponentialDuration",
@@ -96,7 +96,7 @@ class MonteCarloResult:
 
 
 # ----------------------------------------------------------------------
-# The event core
+# Sampling and collision flags
 # ----------------------------------------------------------------------
 def _generate_arrivals(
     arrival_rate: float,
@@ -127,116 +127,47 @@ def _generate_arrivals(
     return starts, durations
 
 
-def _replay(
-    starts: Sequence[float],
-    durations: Sequence[float],
-    identifiers: Sequence[int],
-    log: TransactionLog,
-    warmup: float,
-) -> list:
-    """Replay arrivals against ``log``: the fast event core.
-
-    A single merge of the (already time-ordered) arrival stream against
-    a min-heap of pending end events.  Ends at exactly a begin's
-    timestamp are processed first — a finished transaction no longer
-    contends — and end-time ties break by arrival order, matching the
-    stable ``(time, kind)`` sort of the historical pipeline.  Collision
-    detection itself stays in :meth:`TransactionLog.begin`, whose
-    open-by-identifier index makes each begin O(open transactions with
-    that identifier).
-
-    Returns the transactions that started at or after ``warmup``.
-    """
-    tracked = []
-    track = tracked.append
-    pending: List[tuple] = []  # (end_time, arrival_seq, txn)
-    push, pop = heapq.heappush, heapq.heappop
-    begin, end = log.begin, log.end
-    inf = float("inf")
-    next_end = inf  # cached pending[0][0]: one float compare per arrival
-    seq = 0
-    for when, duration, ident in zip(starts, durations, identifiers):
-        while next_end <= when:
-            ended = pop(pending)
-            end(ended[2], ended[0])
-            next_end = pending[0][0] if pending else inf
-        txn = begin(seq, ident, when)
-        ends_at = when + duration
-        push(pending, (ends_at, seq, txn))
-        if ends_at < next_end:
-            next_end = ends_at
-        if when >= warmup:
-            track(txn)
-        seq += 1
-    while pending:
-        ended = pop(pending)
-        end(ended[2], ended[0])
-    return tracked
-
-
-def _simulate_collision_rate_reference(
+def _sample_and_flag(
     id_bits: int,
     arrival_rate: float,
     duration_sampler: DurationSampler,
-    horizon: float = 1000.0,
-    rng: Optional[random.Random] = None,
-    warmup: float = 0.0,
-) -> MonteCarloResult:
-    """The historical build-list/double/sort pipeline, kept verbatim.
+    rng: random.Random,
+    start: float,
+    stop: float,
+) -> Tuple[List[float], List[float], List[int], List[int]]:
+    """Draw ``[start, stop)`` from ``rng`` and flag its collisions.
 
-    The fast event core must stay bit-identical to this; equivalence
-    tests and ``benchmarks/test_micro_throughput.py`` both replay it.
+    Arrivals first, then one identifier per arrival in arrival order —
+    the draw order every recorded experiment depends on.  Returns
+    ``(starts, ends, identifiers, flagged)``, ``flagged`` being the
+    ascending indices :func:`repro.core.collisions.collided_flags`
+    marks collided.
     """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    rng = rng if rng is not None else fallback_stream("core.montecarlo")
-    space = IdentifierSpace(id_bits)
-    log = TransactionLog()
-
-    events = []  # (time, kind, txn_record)
-    time = 0.0
-    owner = 0
-    while True:
-        time += rng.expovariate(arrival_rate)
-        if time >= horizon:
-            break
-        duration = duration_sampler(rng)
-        if duration < 0:
-            raise ValueError("duration sampler returned a negative duration")
-        events.append((time, 0, owner, duration))
-        owner += 1
-    stream = []
-    for start, _, who, duration in events:
-        stream.append((start, 1, who, duration))
-        stream.append((start + duration, 0, who, duration))
-    stream.sort(key=lambda e: (e[0], e[1]))
-
-    open_txns = {}
-    tracked = []
-    for when, kind, who, duration in stream:
-        if kind == 1:
-            txn = log.begin(owner=who, identifier=space.sample(rng), time=when)
-            open_txns[who] = txn
-            if when >= warmup:
-                tracked.append(txn)
-        else:
-            txn = open_txns.pop(who, None)
-            if txn is not None:
-                log.end(txn, when)
-
-    if not tracked:
-        return MonteCarloResult(
-            transactions=0,
-            collision_rate=float("nan"),
-            measured_density=log.measured_density(),
+    with span("core.sample"):
+        starts, durations = _generate_arrivals(
+            arrival_rate, duration_sampler, rng, start, stop
         )
-    collided = sum(1 for t in tracked if log.collided(t))
+        sample = IdentifierSpace(id_bits).sample
+        identifiers = [sample(rng) for _ in starts]
+    with span("core.replay"):
+        ends = [when + length for when, length in zip(starts, durations)]
+        flagged = np.flatnonzero(collided_flags(starts, ends, identifiers)).tolist()
+    return starts, ends, identifiers, flagged
+
+
+def _tracked_counts(
+    starts: Sequence[float], flagged: Iterable[int], warmup: float
+) -> Tuple[int, int]:
+    """``(tracked, collided)``: transactions starting at or after ``warmup``."""
+    first = bisect.bisect_left(starts, warmup)
+    return len(starts) - first, sum(1 for k in flagged if k >= first)
+
+
+def _result(tracked: int, collided: int, density: float) -> MonteCarloResult:
     return MonteCarloResult(
-        transactions=len(tracked),
-        collision_rate=collided / len(tracked),
-        measured_density=log.measured_density(),
+        transactions=tracked,
+        collision_rate=collided / tracked if tracked else float("nan"),
+        measured_density=density,
     )
 
 
@@ -245,7 +176,7 @@ def _simulate_collision_rate_reference(
 # ----------------------------------------------------------------------
 def _segment_records(
     starts: Sequence[float],
-    durations: Sequence[float],
+    ends: Sequence[float],
     identifiers: Sequence[int],
     segment: int,
 ) -> Iterator[TraceRecord]:
@@ -259,7 +190,7 @@ def _segment_records(
     events: List[Tuple[float, int, int]] = []
     for seq in range(len(starts)):
         events.append((starts[seq], 1, seq))
-        events.append((starts[seq] + durations[seq], 0, seq))
+        events.append((ends[seq], 0, seq))
     events.sort(key=lambda event: (event[0], event[1]))
     for when, kind, seq in events:
         if kind == 1:
@@ -372,7 +303,7 @@ def _montecarlo_segment(
     seed: int,
     trace_path: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Generate and locally replay one horizon segment.
+    """Generate one horizon segment and flag its local collisions.
 
     Runs from its own derived stream (``derive_seed(seed,
     f"segment:{index}")``, derived by the caller), so segments are
@@ -388,24 +319,16 @@ def _montecarlo_segment(
     observational only, and written by whichever process computes the
     segment.
     """
-    rng = random.Random(seed)
     lo, hi = _segment_bounds(horizon, shards, index)
-    space = IdentifierSpace(id_bits)
-    with span("core.sample"):
-        starts, durations = _generate_arrivals(
-            arrival_rate, duration_sampler, rng, lo, hi
-        )
-        sample = space.sample
-        identifiers = [sample(rng) for _ in starts]
-    ends = [starts[seq] + durations[seq] for seq in range(len(starts))]
-    with span("core.replay"):
-        flagged = np.flatnonzero(collided_flags(starts, ends, identifiers)).tolist()
+    starts, ends, identifiers, flagged = _sample_and_flag(
+        id_bits, arrival_rate, duration_sampler, random.Random(seed), lo, hi
+    )
     if trace_path is not None:
         from ..obs.envelope import write_trace
 
         write_trace(
             trace_path,
-            _segment_records(starts, durations, identifiers, index),
+            _segment_records(starts, ends, identifiers, index),
             meta={"segment": index, "shards": shards},
         )
     # Everything O(n) that the parent would otherwise do per segment is
@@ -459,7 +382,7 @@ def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float]) -
     arrival collide iff they share an identifier and the carry is still
     open when the arrival begins (``carry.end > arrival.start`` — an
     end at exactly the begin's timestamp does not contend, matching the
-    replay's tie rule).  Both parties are flagged; flags are sets, so a
+    kernel's tie rule).  Both parties are flagged; flags are sets, so a
     transaction already flagged within its own segment is counted exactly
     once.  Owner checks are unnecessary: every transaction has a fresh
     owner, so cross-segment pairs are always distinct nodes.
@@ -579,27 +502,15 @@ def _simulate_sharded(
     last_time = 0.0
     for segment in segments:
         starts = segment["starts"]
-        flagged = segment["flagged"]
         if not starts:
             continue
         duration_sum += segment["sum_duration"]  # type: ignore[operator]
         last_time = max(last_time, segment["max_end"])  # type: ignore[type-var]
-        first = bisect.bisect_left(starts, warmup) if warmup > 0 else 0
-        tracked += len(starts) - first  # type: ignore[arg-type]
-        if first == 0:
-            collided += len(flagged)  # type: ignore[arg-type]
-        else:
-            collided += sum(1 for k in flagged if k >= first)  # type: ignore[union-attr]
+        counts = _tracked_counts(starts, segment["flagged"], warmup)  # type: ignore[arg-type]
+        tracked += counts[0]
+        collided += counts[1]
     density = duration_sum / last_time if last_time > 0 else 0.0
-    if not tracked:
-        return MonteCarloResult(
-            transactions=0, collision_rate=float("nan"), measured_density=density
-        )
-    return MonteCarloResult(
-        transactions=tracked,
-        collision_rate=collided / tracked,
-        measured_density=density,
-    )
+    return _result(tracked, collided, density)
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +547,7 @@ def simulate_collision_rate(
         Transactions starting before this time are excluded from the
         rate (edge effects: early transactions see a half-empty world).
     shards:
-        Time segments to split the horizon into.  ``1`` replays the
+        Time segments to split the horizon into.  ``1`` draws the
         whole horizon from ``rng`` (or ``random.Random(seed)``),
         bit-identically to every release since the sampler existed.
         ``shards > 1`` requires ``seed`` (per-segment streams are
@@ -656,7 +567,7 @@ def simulate_collision_rate(
         ``(seed, shards)``, never of worker count or pooling.
 
     Each transaction gets a fresh owner id, so same-owner reuse (which
-    the ground-truth log exempts) never occurs — matching the model's
+    the success criterion exempts) never occurs — matching the model's
     assumption of distinct contending nodes.
     """
     if arrival_rate <= 0:
@@ -689,51 +600,27 @@ def simulate_collision_rate(
         rng = random.Random(seed) if seed is not None else fallback_stream(
             "core.montecarlo"
         )
-    space = IdentifierSpace(id_bits)
-    log = TransactionLog()
-    with span("core.sample"):
-        starts, durations = _generate_arrivals(
-            arrival_rate, duration_sampler, rng, 0.0, horizon
-        )
-        sample = space.sample
-        identifiers = [sample(rng) for _ in starts]
-    with span("core.replay"):
-        tracked = _replay(starts, durations, identifiers, log, warmup)
-
+    starts, ends, identifiers, flagged = _sample_and_flag(
+        id_bits, arrival_rate, duration_sampler, rng, 0.0, horizon
+    )
     if trace_spool is not None:
         spool = pathlib.Path(trace_spool)
         spool.mkdir(parents=True, exist_ok=True)
-        flagged = {
-            seq for seq, txn in enumerate(log.transactions) if log.collided(txn)
-        }
-        pseudo: Dict[str, object] = {
-            "starts": starts,
-            "identifiers": identifiers,
-            "flagged": flagged,
-        }
+        whole: Dict[str, object] = dict(
+            starts=starts, identifiers=identifiers, flagged=flagged
+        )
         _write_merged_trace(
             spool,
             [
-                _segment_records(starts, durations, identifiers, 0),
-                _collision_records([pseudo]),
+                _segment_records(starts, ends, identifiers, 0),
+                _collision_records([whole]),
             ],
             _trace_meta(
                 id_bits, arrival_rate, duration_sampler, horizon, warmup, seed, 1
             ),
         )
-
-    if not tracked:
-        return MonteCarloResult(
-            transactions=0,
-            collision_rate=float("nan"),
-            measured_density=log.measured_density(),
-        )
-    collided = sum(1 for t in tracked if log.collided(t))
-    return MonteCarloResult(
-        transactions=len(tracked),
-        collision_rate=collided / len(tracked),
-        measured_density=log.measured_density(),
-    )
+    tracked, collided = _tracked_counts(starts, flagged, warmup)
+    return _result(tracked, collided, mean_concurrency(starts, ends))
 
 
 def _montecarlo_trial(

@@ -33,13 +33,10 @@ _txn_seq = itertools.count(1)
 class Transaction:
     """One tracked transaction (ground truth, not protocol state).
 
-    ``slots=True`` matters: Monte Carlo replays allocate one instance
-    per simulated transaction (hundreds of thousands on long horizons),
-    and slotted instances are both smaller and faster to create than
-    ``__dict__``-backed ones.  ``eq=False`` keeps identity comparison:
-    every instance draws a unique ``uid``, so field equality never held
-    between distinct transactions anyway, and the log's open-list
-    removal is an identity scan, not a field-by-field walk.
+    ``eq=False`` keeps identity comparison: every instance draws a
+    unique ``uid``, so field equality never held between distinct
+    transactions anyway, and the log's open-list removal is an identity
+    scan, not a field-by-field walk.
     """
 
     owner: int
@@ -110,20 +107,14 @@ class TransactionLog:
             start=time,
             audience=frozenset(audience) if audience is not None else None,
         )
-        open_list = self._open_by_id.get(identifier)
-        if open_list is None:
-            open_list = self._open_by_id[identifier] = []
-        else:
-            collided = self._collided
-            for peer in open_list:  # same id, still open
-                if peer.owner != owner and txn.shares_audience(peer):
-                    collided.add(txn.uid)
-                    collided.add(peer.uid)
+        open_list = self._open_by_id.setdefault(identifier, [])
+        for peer in open_list:  # same id, still open
+            if peer.owner != owner and txn.shares_audience(peer):
+                self._collided.update((txn.uid, peer.uid))
         self._all.append(txn)
         open_list.append(txn)
         self._density.adjust(time, +1)
-        if time > self._last_time:
-            self._last_time = time
+        self._last_time = max(self._last_time, time)
         return txn
 
     def end(self, txn: Transaction, time: float) -> None:
@@ -139,8 +130,7 @@ class TransactionLog:
             if not open_list:
                 del self._open_by_id[txn.identifier]
         self._density.adjust(time, -1)
-        if time > self._last_time:
-            self._last_time = time
+        self._last_time = max(self._last_time, time)
 
     # ------------------------------------------------------------------
     # Queries

@@ -1,11 +1,11 @@
 """Flow-level / hybrid-fidelity simulation (``repro.flow``).
 
 The fourth execution fidelity of the stack, one level above the frame
-simulator and the Monte Carlo event core: transaction *streams*
+simulator and the Monte Carlo sampler: transaction *streams*
 (arrival rate + duration descriptors, :mod:`~repro.flow.streams`) are
 sampled per concurrency window from the paper's analytic collision
 models (:mod:`~repro.flow.sampler`), with an optional hybrid switch
-that replays only contended windows through the discrete event core
+that replays only contended windows transaction by transaction
 (:mod:`~repro.flow.hybrid`).  :mod:`~repro.flow.calibrate` pins the
 flow sampler against the discrete ground truth on the Figure-4 grid.
 :mod:`~repro.flow.shard` fans the window plan out across

@@ -31,11 +31,16 @@ approximation hybrid accepts is the window boundary itself: a
 transaction spanning a cut contends only inside its own window, so
 windows should be sized at least several transaction durations wide
 (the default scenarios are hundreds of durations wide).
+
+Serial and sharded runs share one per-window loop,
+:func:`run_window_range`: a serial run is the range ``[0, len(plan))``,
+a sharded one runs each of its ranges in
+:func:`repro.flow.shard.window_range_trial`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +55,13 @@ from .fastpath import sample_identifiers_fast
 from .sampler import FlowResult, WindowOutcome, WindowSpec, sample_window, window_plan
 from .streams import FlowScenario
 
-__all__ = ["FIDELITY_MODES", "frame_window", "simulate", "wants_frame"]
+__all__ = [
+    "FIDELITY_MODES",
+    "frame_window",
+    "run_window_range",
+    "simulate",
+    "wants_frame",
+]
 
 #: Supported fidelity modes, in increasing cost order.
 FIDELITY_MODES: Tuple[str, ...] = ("flow", "hybrid", "frame")
@@ -151,6 +162,67 @@ def wants_frame(
     return False
 
 
+def run_window_range(
+    scenario: FlowScenario,
+    seed: int,
+    specs: Sequence[WindowSpec],
+    fidelity: str,
+    switch_threshold: float,
+    model: str,
+    writer: Optional[TraceWriter] = None,
+) -> List[WindowOutcome]:
+    """Execute a contiguous range of the window plan: the one per-window loop.
+
+    Every window draws only from its own ``RngRegistry(seed)`` streams
+    and bumps the ``flow.*`` counters once, so the ranges of any
+    decomposition add up to the serial run exactly.
+
+    With ``writer`` each window emits a ``flow.window`` record at
+    ``t0`` (offered load and the fidelity decision), frame windows
+    their ``flow.txn`` records, and a ``flow.outcome`` record at ``t1``
+    carrying the window's counts.
+    """
+    registry = RngRegistry(seed)
+    metrics = active_metrics()
+    outcomes: List[WindowOutcome] = []
+    for spec in specs:
+        escalate = wants_frame(fidelity, spec, switch_threshold)
+        if metrics is not None:
+            metrics.inc("flow.windows")
+            if escalate:
+                metrics.inc("flow.escalations")
+        if writer is not None:
+            writer.emit(
+                spec.t0,
+                "flow.window",
+                window=spec.index,
+                fidelity="frame" if escalate else "flow",
+                arrival_rate=spec.arrival_rate,
+                density=spec.density,
+            )
+        # Both calls go through module globals, which profilers patch.
+        if escalate:
+            with span("flow.frame"):
+                outcome = frame_window(scenario, spec, registry, writer)
+        else:
+            with span("flow.sample"):
+                rng = registry.stream(f"flow.window.{spec.index}")
+                outcome = sample_window(spec, scenario.id_bits, rng, model)
+        if metrics is not None:
+            metrics.inc("flow.transactions", outcome.transactions)
+            metrics.inc("flow.collisions", outcome.collisions)
+        if writer is not None:
+            writer.emit(
+                spec.t1,
+                "flow.outcome",
+                window=spec.index,
+                transactions=outcome.transactions,
+                collisions=outcome.collisions,
+            )
+        outcomes.append(outcome)
+    return outcomes
+
+
 def simulate(
     scenario: FlowScenario,
     seed: int,
@@ -171,28 +243,9 @@ def simulate(
         raise ValueError(f"unknown fidelity {fidelity!r}")
     if switch_threshold <= 0:
         raise ValueError("switch_threshold must be positive")
-    registry = RngRegistry(seed)
-    metrics = active_metrics()
-    outcomes: List[WindowOutcome] = []
-    for spec in window_plan(scenario):
-        escalate = wants_frame(fidelity, spec, switch_threshold)
-        if metrics is not None:
-            metrics.inc("flow.windows")
-            if escalate:
-                metrics.inc("flow.escalations")
-        if escalate:
-            with span("flow.frame"):
-                outcomes.append(frame_window(scenario, spec, registry))
-        else:
-            with span("flow.sample"):
-                rng = registry.stream(f"flow.window.{spec.index}")
-                outcomes.append(
-                    sample_window(spec, scenario.id_bits, rng, model)
-                )
-        if metrics is not None:
-            outcome = outcomes[-1]
-            metrics.inc("flow.transactions", outcome.transactions)
-            metrics.inc("flow.collisions", outcome.collisions)
+    outcomes = run_window_range(
+        scenario, seed, window_plan(scenario), fidelity, switch_threshold, model
+    )
     return FlowResult(
         transactions=sum(w.transactions for w in outcomes),
         collisions=sum(w.collisions for w in outcomes),

@@ -39,6 +39,7 @@ hit would skip the side effect and leave a hole in the spool.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import shutil
 from dataclasses import dataclass
@@ -48,11 +49,14 @@ from .. import __version__
 from ..exec import ExecError, TrialRunner, TrialSpec, trial_key
 from ..obs.envelope import TraceWriter
 from ..obs.merge import collect_shards, merge_shards
-from ..obs.metrics import active_metrics
 from ..obs.spans import span
-from ..sim.rng import RngRegistry
-from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES, frame_window, wants_frame
-from .sampler import FlowResult, WindowOutcome, WindowSpec, sample_window, window_plan
+from .hybrid import (
+    DEFAULT_SWITCH_THRESHOLD,
+    FIDELITY_MODES,
+    run_window_range,
+    wants_frame,
+)
+from .sampler import FlowResult, WindowOutcome, WindowSpec, window_plan
 from .streams import FlowScenario
 
 __all__ = [
@@ -75,8 +79,8 @@ PARTITION_STRATEGIES: Tuple[str, ...] = ("cost", "even")
 
 #: Relative cost of simulating one transaction at frame fidelity vs
 #: drawing it at flow fidelity.  Frame replay generates per-stream
-#: arrivals, samples an identifier, and runs the heap-merge collision
-#: bookkeeping per transaction where the flow sampler spends one
+#: arrivals, samples an identifier, and flags collisions in the
+#: vectorised kernel per transaction where the flow sampler spends one
 #: uniform draw — measured at roughly an order of magnitude, and only
 #: the *balance* between ranges depends on it, never a result.
 FRAME_COST_FACTOR = 12.0
@@ -184,76 +188,32 @@ def window_range_trial(
 ) -> Dict[str, Any]:
     """Execute windows ``[lo, hi)`` of the scenario's plan.
 
-    The building block of a sharded run: draws exactly the streams the
-    serial run would use for these windows (``RngRegistry(seed)``
-    derivation is positional, so execution order across ranges is
-    irrelevant).  Returns the window outcomes as plain rows — JSON/pool
-    transportable, reassembled by :func:`merge_range_values`.
+    The building block of a sharded run: the same per-window loop as a
+    serial run (:func:`repro.flow.hybrid.run_window_range`), drawing
+    exactly the streams the serial run would use for these windows
+    (``RngRegistry(seed)`` derivation is positional, so execution order
+    across ranges is irrelevant).  Returns the window outcomes as plain
+    rows — JSON/pool transportable, reassembled by
+    :func:`merge_range_values`.
 
     With ``trace_path`` the range streams its records as one shard of
-    the run's trace: per window a ``flow.window`` record at ``t0``
-    (offered load and the fidelity decision), per frame-escalated
-    transaction a ``flow.txn`` record at its arrival time, and a
-    ``flow.outcome`` record at ``t1`` carrying the window's counts.
-    Record times are non-decreasing within the shard and strictly
-    bounded by the range's window edges, which is what lets
-    :func:`repro.obs.merge.merge_shards` reproduce the serial emission
-    order exactly.
+    the run's trace.  Record times are non-decreasing within the shard
+    and strictly bounded by the range's window edges, which is what
+    lets :func:`repro.obs.merge.merge_shards` reproduce the serial
+    emission order exactly.
     """
     plan = window_plan(scenario)
     if not 0 <= lo <= hi <= len(plan):
         raise ValueError(
             f"window range [{lo}, {hi}) outside plan of {len(plan)} window(s)"
         )
-    registry = RngRegistry(seed)
-    # Same per-window hooks as ``hybrid.simulate`` — the summed counters
-    # of a sharded run must equal the serial run's exactly.
-    metrics = active_metrics()
     writer: Optional[TraceWriter] = None
     if trace_path is not None:
         writer = TraceWriter(trace_path, meta={"windows": [lo, hi]})
-    outcomes: List[WindowOutcome] = []
-    try:
-        for spec in plan[lo:hi]:
-            frame = wants_frame(fidelity, spec, switch_threshold)
-            if metrics is not None:
-                metrics.inc("flow.windows")
-                if frame:
-                    metrics.inc("flow.escalations")
-            if writer is not None:
-                writer.emit(
-                    spec.t0,
-                    "flow.window",
-                    window=spec.index,
-                    fidelity="frame" if frame else "flow",
-                    arrival_rate=spec.arrival_rate,
-                    density=spec.density,
-                )
-            if frame:
-                with span("flow.frame"):
-                    outcome = frame_window(scenario, spec, registry, writer=writer)
-            else:
-                with span("flow.sample"):
-                    rng = registry.stream(f"flow.window.{spec.index}")
-                    outcome = sample_window(spec, scenario.id_bits, rng, model)
-            if metrics is not None:
-                metrics.inc("flow.transactions", outcome.transactions)
-                metrics.inc("flow.collisions", outcome.collisions)
-            if writer is not None:
-                writer.emit(
-                    spec.t1,
-                    "flow.outcome",
-                    window=spec.index,
-                    transactions=outcome.transactions,
-                    collisions=outcome.collisions,
-                )
-            outcomes.append(outcome)
-        if writer is not None:
-            writer.close()
-    except BaseException:
-        if writer is not None:
-            writer.abort()
-        raise
+    with writer if writer is not None else contextlib.nullcontext():
+        outcomes = run_window_range(
+            scenario, seed, plan[lo:hi], fidelity, switch_threshold, model, writer
+        )
     return {
         "windows": [
             [o.index, o.fidelity, o.transactions, o.collisions, o.density]

@@ -2,9 +2,8 @@
 
 Forked workers (and sharded-horizon segments) each stream their records
 into their own shard file; the parent folds the shards into a single
-trace with :func:`heapq.merge` — the same k-way heap-merge shape as the
-fast event core — so the merge is streaming too and never holds more
-than one record per shard in memory.
+trace with :func:`heapq.merge`, a streaming k-way merge that never
+holds more than one record per shard in memory.
 
 Ordering must be total and independent of worker scheduling for the
 merged trace to be byte-identical to a serial export.  Records are

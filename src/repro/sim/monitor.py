@@ -163,19 +163,8 @@ class TimeWeightedValue:
         self._value = value
 
     def adjust(self, time: float, delta: float) -> None:
-        """Increment/decrement the signal (e.g. +1 on txn begin, -1 on end).
-
-        Inlined rather than delegating to :meth:`set`: this runs twice
-        per simulated transaction in the Monte Carlo hot loop, where
-        the extra method dispatch is measurable.
-        """
-        last = self._last_time
-        if time < last:
-            raise ValueError("TimeWeightedValue updates must be time-ordered")
-        value = self._value
-        self._integral += value * (time - last)
-        self._last_time = time
-        self._value = value + delta
+        """Increment/decrement the signal (e.g. +1 on txn begin, -1 on end)."""
+        self.set(time, self._value + delta)
 
     @property
     def current(self) -> float:

@@ -1,28 +1,46 @@
 """The vectorised collision kernel agrees with the discrete event replay.
 
 :func:`repro.core.collisions.collided_flags` must flag exactly the
-transactions that :func:`repro.core.montecarlo._replay` against a
-:class:`~repro.core.transactions.TransactionLog` marks collided — the
-same criterion and the same tie rule (an end at exactly a begin's
-timestamp does not contend).  Interval sets are generated with exact
-end==start ties, zero durations, equal starts, single-member groups and
-a single shared identifier.
+transactions that the oracle replay (:func:`tests.oracles._replay`)
+against a :class:`~repro.core.transactions.TransactionLog` marks
+collided — the same criterion and the same tie rule (an end at exactly
+a begin's timestamp does not contend) — and
+:func:`repro.core.collisions.mean_concurrency` must return the log's
+``measured_density()`` as the very same float.  Interval sets are
+generated with exact end==start ties, zero durations, equal starts,
+single-member groups, empty input and a single shared identifier.
 """
+
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.collisions import collided_flags
-from repro.core.montecarlo import _replay
+from repro.core.collisions import collided_flags, mean_concurrency
 from repro.core.transactions import TransactionLog
+
+from .oracles import _replay
+
+
+def replay(starts, durations, identifiers):
+    """The oracle's verdicts: per-transaction flags and the log's density."""
+    log = TransactionLog()
+    tracked = _replay(starts, durations, identifiers, log, warmup=0.0)
+    return [log.collided(txn) for txn in tracked], log.measured_density()
 
 
 def replay_flags(starts, durations, identifiers):
-    log = TransactionLog()
-    tracked = _replay(starts, durations, identifiers, log, warmup=0.0)
-    return [log.collided(txn) for txn in tracked]
+    return replay(starts, durations, identifiers)[0]
+
+
+def assert_matches_replay(starts, durations, identifiers):
+    flags, density = replay(starts, durations, identifiers)
+    assert kernel_flags(starts, durations, identifiers) == flags
+    ends = [start + duration for start, duration in zip(starts, durations)]
+    # Exact equality: the sum must be the log's, addition for addition.
+    assert mean_concurrency(starts, ends) == density
 
 
 def kernel_flags(starts, durations, identifiers):
@@ -89,25 +107,28 @@ def merged_streams(streams):
 class TestKernelMatchesReplay:
     @settings(max_examples=400, deadline=None)
     @given(grid_intervals())
+    @example(([], [], []))
+    @example(([0.0, 0.0], [0.0, 0.0], [1, 1]))
     def test_grid_intervals_with_ties(self, case):
-        assert kernel_flags(*case) == replay_flags(*case)
+        assert_matches_replay(*case)
 
     @settings(max_examples=400, deadline=None)
     @given(float_intervals())
     def test_float_intervals_with_exact_end_start_ties(self, case):
-        assert kernel_flags(*case) == replay_flags(*case)
+        assert_matches_replay(*case)
 
     @settings(max_examples=200, deadline=None)
     @given(grid_intervals(max_ids=1))
     def test_one_shared_identifier(self, case):
-        assert kernel_flags(*case) == replay_flags(*case)
+        assert_matches_replay(*case)
 
     @settings(max_examples=100, deadline=None)
     @given(grid_starts)
     def test_single_member_groups_never_collide(self, starts):
         n = len(starts)
         case = (starts, [1.0] * n, list(range(n)))
-        assert kernel_flags(*case) == replay_flags(*case) == [False] * n
+        assert replay_flags(*case) == [False] * n
+        assert_matches_replay(*case)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -126,7 +147,7 @@ class TestKernelMatchesReplay:
     )
     def test_equal_starts_from_different_streams(self, streams):
         case = merged_streams(streams)
-        assert kernel_flags(*case) == replay_flags(*case)
+        assert_matches_replay(*case)
 
 
 class TestTieRule:
@@ -160,3 +181,18 @@ class TestTieRule:
         ids = [1 << 40, 7, 1 << 40, 7]
         case = ([0.0, 0.1, 0.2, 2.0], [1.0, 1.0, 1.0, 1.0], ids)
         assert kernel_flags(*case) == replay_flags(*case) == [True, False, True, False]
+
+
+class TestMeanConcurrency:
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_long_exponential_stream_matches_the_log(self, seed):
+        # Thousands of irregular products: a sum in any other order
+        # (pairwise, reversed, compensated) rounds differently here.
+        rng = random.Random(seed)
+        starts, durations, time = [], [], 0.0
+        for _ in range(3000):
+            time += rng.expovariate(5.0)
+            starts.append(time)
+            durations.append(rng.expovariate(1.0))
+        identifiers = [rng.randrange(64) for _ in starts]
+        assert_matches_replay(starts, durations, identifiers)

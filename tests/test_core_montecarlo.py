@@ -17,10 +17,11 @@ from repro.core.montecarlo import (
     ExponentialDuration,
     FixedDuration,
     _generate_arrivals,
-    _simulate_collision_rate_reference,
     replicate_collision_rate,
     simulate_collision_rate,
 )
+
+from .oracles import _simulate_collision_rate_reference
 
 
 class TestEffectiveDensity:
@@ -168,9 +169,10 @@ class TestDurationSamplers:
 
 
 class TestFastCoreGoldenPins:
-    """The fast event core must stay bit-identical to the historical
+    """Single-shard trials must stay bit-identical to the historical
     build-list/double/sort pipeline.  Pins were captured from the
-    pre-fast-core implementation."""
+    pre-fast-core implementation and still hold on the collision
+    kernel."""
 
     EXP_PINS = [
         # (seed, id_bits, rate, horizon, warmup) -> (txns, rate, density)

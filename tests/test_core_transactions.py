@@ -138,9 +138,9 @@ class TestDensityMeasurement:
 
 class TestTransactionRepresentation:
     def test_slots_and_identity_equality(self):
-        """The fast event core allocates one Transaction per arrival;
-        __slots__ keeps them compact, and equality is identity (uids are
-        unique, so field equality was identity in disguise anyway)."""
+        """The log allocates one Transaction per begin; __slots__ keeps
+        them compact, and equality is identity (uids are unique, so
+        field equality was identity in disguise anyway)."""
         log = TransactionLog()
         a = log.begin(owner=1, identifier=3, time=0.0)
         b = log.begin(owner=1, identifier=3, time=0.0)

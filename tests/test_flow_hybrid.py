@@ -168,8 +168,10 @@ class TestFrameWindowPaths:
         # scalar identifier draw per transaction, and the discrete event
         # replay against a TransactionLog.
         from repro.core.identifiers import IdentifierSpace
-        from repro.core.montecarlo import FixedDuration, _generate_arrivals, _replay
+        from repro.core.montecarlo import FixedDuration, _generate_arrivals
         from repro.core.transactions import TransactionLog
+
+        from .oracles import _replay
 
         for spec in window_plan(scenario):
             registry = RngRegistry(seed)

@@ -117,6 +117,40 @@ class TestSimulationGoldenValues:
         assert any(name.startswith("radio.") for name, _ in profiler.top(50))
 
 
+class TestSingleShardMonteCarloTraceGolden:
+    """Pin a one-shard Monte Carlo trace and its result.
+
+    Exponential durations and a non-zero warmup, so the pins cover the
+    arrival and identifier draws, the kernel's collision flags (the
+    ``txn.collision`` records), the warmup cut and the time-weighted
+    density, which must round exactly as before.
+    """
+
+    RESULT = {
+        "transactions": 866,
+        "collision_rate": "0x1.279caca32d863p-2",
+        "measured_density": "0x1.728cf6f297d46p+2",
+    }
+    TRACE_SHA256 = "15d6f9047485ca889b42c9300bc690eb4da39247a51196ca2c74a1e239fc9745"
+
+    def test_result_and_trace_bytes(self, tmp_path):
+        import hashlib
+
+        from repro.obs.record import record_montecarlo
+
+        path = tmp_path / "trace.jsonl"
+        result = record_montecarlo(
+            path, id_bits=5, rate=6.0, horizon=150.0, warmup=4.0, seed=11,
+            shards=1,
+        )
+        assert {
+            "transactions": result["transactions"],
+            "collision_rate": float.hex(result["collision_rate"]),
+            "measured_density": float.hex(result["measured_density"]),
+        } == self.RESULT
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256
+
+
 class TestTrialSeedDerivation:
     """Pin the replicate-seed convention itself.
 

@@ -123,13 +123,22 @@ def test_seeded_flow_collision_attribution(tmp_path):
 # ----------------------------------------------------------------------
 # Monte Carlo traces: interval-overlap attribution
 # ----------------------------------------------------------------------
-def test_montecarlo_attribution(tmp_path):
+@pytest.mark.parametrize("shards", [1, 2])
+def test_montecarlo_attribution(tmp_path, shards):
+    # One shard: every txn.collision record comes from the kernel's
+    # flags.  Two: from the segments' flags plus the boundary stitch.
     trace = tmp_path / "mc.jsonl"
     record_montecarlo(trace, id_bits=4, rate=4.0, horizon=40.0, seed=1,
-                      shards=2)
+                      shards=shards)
     forensics = TraceForensics.from_trace(trace)
     lost = forensics.lost()
     assert lost
+    # The flagged set is exactly the set with an overlapping partner.
+    assert lost == [
+        txn.txn_id
+        for _key, txn in sorted(forensics.lifecycles.items())
+        if txn.partners
+    ]
 
     begins = {}
     for record in read_trace(trace):

@@ -2,9 +2,10 @@
 
 Not a paper figure — these time the building blocks so performance
 regressions in the simulator or codec are caught: event-queue rate,
-fragmentation/reassembly throughput, selector draw rate, the analytic
-model's sweep speed, and the Monte Carlo single-trial path (the
-collision-kernel path vs the pre-optimisation implementation, plus
+fragmentation/reassembly throughput, AFF frame decoding (the word-level
+bit codec vs the byte-at-a-time one it replaced), selector draw rate,
+the analytic model's sweep speed, and the Monte Carlo single-trial path
+(the collision-kernel path vs the pre-optimisation implementation, plus
 horizon-shard scaling).  The Monte Carlo benchmark publishes
 ``micro_throughput`` (→ ``micro_throughput.txt`` +
 ``BENCH_micro_throughput.json``), which ``python -m repro bench-trend``
@@ -19,10 +20,11 @@ from typing import Dict, List, Optional, Set
 
 from repro.aff.fragmenter import Fragmenter
 from repro.aff.reassembler import Reassembler
-from repro.aff.wire import FragmentCodec
+from repro.aff.wire import DataFragment, FragmentCodec, IntroFragment, NotifyFragment
 from repro.core import model
 from repro.core.identifiers import IdentifierSpace, ListeningSelector, UniformSelector
 from repro.sim.engine import Simulator
+from repro.util.bits import BitstreamError
 
 
 def test_event_queue_throughput(benchmark):
@@ -68,6 +70,107 @@ def test_reassembly_throughput(benchmark):
         return out
 
     assert benchmark(run) == payload
+
+
+# ----------------------------------------------------------------------
+# AFF frame decoding: word-level bit codec vs the byte-at-a-time one
+# ----------------------------------------------------------------------
+# Baseline: a frozen replica of the bit reader as it stood before the
+# word-level codec, and of FragmentCodec.decode running on it.  Embedded
+# here, like the Monte Carlo baseline below, so the package can keep
+# improving without dragging the baseline along with it.
+
+
+class _SeedBitReader:
+    def __init__(self, data: bytes):
+        self._data = data
+        self._bit_pos = 0
+
+    @property
+    def bits_remaining(self) -> int:
+        return 8 * len(self._data) - self._bit_pos
+
+    def read(self, bits: int) -> int:
+        if bits < 0:
+            raise BitstreamError("bit count must be >= 0")
+        if bits > self.bits_remaining:
+            raise BitstreamError(
+                f"read of {bits} bits with only {self.bits_remaining} remaining"
+            )
+        value = 0
+        remaining = bits
+        while remaining > 0:
+            byte_index, bit_offset = divmod(self._bit_pos, 8)
+            available = 8 - bit_offset
+            take = min(available, remaining)
+            chunk = self._data[byte_index]
+            chunk >>= available - take
+            chunk &= (1 << take) - 1
+            value = (value << take) | chunk
+            self._bit_pos += take
+            remaining -= take
+        return value
+
+    def read_bytes(self, count: int) -> bytes:
+        return bytes(self.read(8) for _ in range(count))
+
+
+def _seed_decode(id_bits: int, data: bytes):
+    """FragmentCodec.decode on the byte-at-a-time reader (well-formed input)."""
+    reader = _SeedBitReader(data)
+    kind = reader.read(2)
+    identifier = reader.read(id_bits)
+    if kind == 0:
+        total_length = reader.read(16)
+        checksum = reader.read(16)
+        return IntroFragment(
+            identifier=identifier, total_length=total_length, checksum=checksum
+        )
+    if kind == 1:
+        offset = reader.read(16)
+        length = reader.read(8)
+        return DataFragment(
+            identifier=identifier, offset=offset, payload=reader.read_bytes(length)
+        )
+    return NotifyFragment(identifier=identifier)
+
+
+def test_codec_decode_ratio():
+    """Decode the frames of an 80-byte packet, old reader vs new.
+
+    The Figure-4 testbed's packet (80 bytes over 27-byte frames) at 4,
+    8 and 9 identifier bits, 400 times over, best of 5.  Both decoders
+    must return the same fragments, and the word-level codec must be at
+    least 3x faster in this process.
+    """
+    payload = bytes(range(80))
+    frames = []
+    for id_bits in (4, 8, 9):
+        codec = FragmentCodec(id_bits)
+        plan = Fragmenter(codec, mtu_bytes=27).fragment(payload, identifier=11)
+        frames += [(codec, codec.encode(f)) for f in plan.fragments]
+
+    def run_old():
+        out = []
+        for _ in range(400):
+            out = [_seed_decode(codec.id_bits, frame) for codec, frame in frames]
+        return out
+
+    def run_new():
+        out = []
+        for _ in range(400):
+            out = [codec.decode(frame) for codec, frame in frames]
+        return out
+
+    old_wall, old_result = _best_of(run_old, repeats=5)
+    new_wall, new_result = _best_of(run_new, repeats=5)
+    assert new_result == old_result
+    ratio = old_wall / new_wall
+    print(
+        f"AFF decode, {len(frames)} frames x 400: byte-at-a-time "
+        f"{old_wall * 1000:.1f} ms, word-level {new_wall * 1000:.1f} ms ({ratio:.2f}x)"
+    )
+    assert ratio >= 3.0, f"codec decode speedup {ratio:.2f}x below the 3.0x floor"
 
 
 def test_uniform_selector_rate(benchmark):

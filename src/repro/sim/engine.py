@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..analysis.sanitizer.runtime import active_sanitizer
@@ -43,24 +42,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (negative delays, running a closed sim)."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry.
-
-    Ordering is (time, tie, seq): seq breaks ties FIFO so same-time
-    events run in scheduling order, which keeps runs deterministic.
-    ``tie`` is always 0 in normal operation; under DetSan's tie
-    perturber it carries a deterministic pseudo-random rank that
-    shuffles same-timestamp events, exposing any code that silently
-    depends on FIFO tie-breaking.
-    """
-
-    time: float
-    tie: int
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -112,7 +93,14 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[_QueueEntry] = []
+        # Heap of (time, tie, seq, handle) tuples.  seq breaks ties FIFO
+        # so same-time events run in scheduling order, which keeps runs
+        # deterministic; it is unique, so the handle is never compared.
+        # ``tie`` is always 0 in normal operation; under DetSan's tie
+        # perturber it carries a deterministic pseudo-random rank that
+        # shuffles same-timestamp events, exposing any code that
+        # silently depends on FIFO tie-breaking.
+        self._queue: list[tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -171,8 +159,7 @@ class Simulator:
         tie = 0
         if san is not None and san.perturb_ties:
             tie = san.tie_rank(handle.time, seq)
-        entry = _QueueEntry(time=handle.time, tie=tie, seq=seq, handle=handle)
-        heapq.heappush(self._queue, entry)
+        heapq.heappush(self._queue, (handle.time, tie, seq, handle))
         if self._metrics is not None:
             self._metrics.gauge_max("engine.queue_depth", len(self._queue))
         return handle
@@ -199,13 +186,12 @@ class Simulator:
             False if the queue was empty (nothing fired), else True.
         """
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            handle = entry.handle
+            time, _tie, _seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
-            if entry.time < self._now:  # pragma: no cover - defensive
+            if time < self._now:  # pragma: no cover - defensive
                 raise SimulationError("event queue time went backwards")
-            self._now = entry.time
+            self._now = time
             handle.cancelled = True  # mark as fired; no longer cancellable
             self._events_processed += 1
             if self._metrics is not None:
@@ -279,17 +265,17 @@ class Simulator:
     def _peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, discarding cancelled ones."""
         while self._queue:
-            entry = self._queue[0]
-            if entry.handle.cancelled:
+            time, _tie, _seq, handle = self._queue[0]
+            if handle.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            return entry.time
+            return time
         return None
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.handle.cancelled)
+        return sum(1 for *_, handle in self._queue if not handle.cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

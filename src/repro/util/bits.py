@@ -5,6 +5,13 @@ The paper's whole argument is about *bits*: a 9-bit AFF identifier vs a
 savings away, so the AFF wire format bit-packs its headers.
 :class:`BitWriter` and :class:`BitReader` provide MSB-first bit streams
 over bytes, with explicit padding on flush.
+
+Both work a word at a time rather than a byte at a time, so a call
+costs a fixed number of integer operations whatever its width.  The
+reader holds the whole buffer as one big-endian integer and takes each
+field out of it with one shift and one mask; byte-aligned
+``read_bytes`` is a slice.  The writer shifts each value into an
+accumulator and flushes all of its whole bytes with one ``to_bytes``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ class BitWriter:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        # Fewer than 8 bits not yet flushed to the buffer.
         self._accum = 0
         self._accum_bits = 0
         self.bits_written = 0
@@ -35,19 +43,30 @@ class BitWriter:
             raise BitstreamError("bit count must be >= 0")
         if value < 0 or (bits < 63 and value >= (1 << bits)):
             raise BitstreamError(f"value {value} does not fit in {bits} bits")
-        self._accum = (self._accum << bits) | value
-        self._accum_bits += bits
         self.bits_written += bits
-        while self._accum_bits >= 8:
-            self._accum_bits -= 8
-            self._buffer.append((self._accum >> self._accum_bits) & 0xFF)
-        self._accum &= (1 << self._accum_bits) - 1
+        accum = (self._accum << bits) | value
+        pending = self._accum_bits + bits
+        if pending >= 8:
+            rest = pending & 7
+            whole = pending - rest
+            # The mask keeps exactly ``pending`` bits; it only bites on a
+            # field of 63+ bits, whose value the range check lets through
+            # unbounded.
+            self._buffer += ((accum >> rest) & ((1 << whole) - 1)).to_bytes(
+                whole >> 3, "big"
+            )
+            accum &= (1 << rest) - 1
+            pending = rest
+        self._accum = accum
+        self._accum_bits = pending
         return self
 
     def write_bytes(self, data: bytes) -> "BitWriter":
         """Append whole bytes (8 bits each, preserving bit alignment)."""
-        for byte in data:
-            self.write(byte, 8)
+        if self._accum_bits:
+            return self.write(int.from_bytes(data, "big"), 8 * len(data))
+        self._buffer += data
+        self.bits_written += 8 * len(data)
         return self
 
     def getvalue(self) -> bytes:
@@ -59,38 +78,47 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads values MSB-first from a byte string."""
+    """Reads values MSB-first from a byte string.
+
+    The buffer is converted to an integer once, at construction, so
+    later changes to a mutable ``data`` are not seen.
+    """
 
     def __init__(self, data: bytes):
         self._data = data
+        self._word = int.from_bytes(data, "big")
+        self._size = 8 * len(data)
         self._bit_pos = 0
 
     @property
     def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._bit_pos
+        return self._size - self._bit_pos
 
     def read(self, bits: int) -> int:
         """Read ``bits`` bits as an unsigned integer."""
         if bits < 0:
             raise BitstreamError("bit count must be >= 0")
-        if bits > self.bits_remaining:
+        end = self._bit_pos + bits
+        if end > self._size:
             raise BitstreamError(
                 f"read of {bits} bits with only {self.bits_remaining} remaining"
             )
-        value = 0
-        remaining = bits
-        while remaining > 0:
-            byte_index, bit_offset = divmod(self._bit_pos, 8)
-            available = 8 - bit_offset
-            take = min(available, remaining)
-            chunk = self._data[byte_index]
-            chunk >>= available - take
-            chunk &= (1 << take) - 1
-            value = (value << take) | chunk
-            self._bit_pos += take
-            remaining -= take
-        return value
+        self._bit_pos = end
+        return (self._word >> (self._size - end)) & ((1 << bits) - 1)
 
     def read_bytes(self, count: int) -> bytes:
         """Read ``count`` whole bytes."""
-        return bytes(self.read(8) for _ in range(count))
+        if count <= 0:
+            return b""
+        start = self._bit_pos
+        end = start + 8 * count
+        if end > self._size:
+            # Fail as a byte-by-byte read would: every whole byte left is
+            # consumed, then the read of the next 8 bits runs short.
+            short = (self._size - start) & 7
+            self._bit_pos = self._size - short
+            raise BitstreamError(f"read of 8 bits with only {short} remaining")
+        if start & 7:
+            return self.read(8 * count).to_bytes(count, "big")
+        self._bit_pos = end
+        return bytes(self._data[start >> 3 : end >> 3])

@@ -1,5 +1,7 @@
-"""Test oracles: the Monte Carlo event replays the package retired.
+"""Test oracles: implementations the package retired, kept to compare against.
 
+Monte Carlo event replays
+-------------------------
 :func:`repro.core.montecarlo.simulate_collision_rate` judges collisions
 with the vectorised kernel (:mod:`repro.core.collisions`).  The two
 replays below reach the same verdicts through a
@@ -14,6 +16,16 @@ compare the kernel against them bit for bit.
   build-list/double/sort pipeline, from draw to result.  Its sort puts
   a zero-duration transaction's end before its own begin, so such a
   transaction never closes; compare it only on positive durations.
+
+Byte-at-a-time bit codec
+------------------------
+:class:`BitWriter` and :class:`BitReader` are the bit streams
+:mod:`repro.util.bits` had before it moved to word-level extraction:
+the reader walks the buffer one byte chunk per loop step and
+``read_bytes`` reads one byte at a time; the writer drains its
+accumulator one byte per loop step.  The equivalence properties in
+``tests/test_util_bits.py`` drive both with the same operations and
+compare values, counters and errors.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from repro.core.identifiers import IdentifierSpace
 from repro.core.montecarlo import DurationSampler, MonteCarloResult
 from repro.core.transactions import TransactionLog
 from repro.sim.rng import fallback_stream
+from repro.util.bits import BitstreamError
 
 
 def _replay(
@@ -140,3 +153,83 @@ def _simulate_collision_rate_reference(
         measured_density=log.measured_density(),
     )
 
+
+
+class BitWriter:
+    """Accumulates values MSB-first into a byte string.
+
+    ``write(value, bits)`` appends the ``bits`` low-order bits of
+    ``value``.  ``getvalue()`` zero-pads the final partial byte.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._accum = 0
+        self._accum_bits = 0
+        self.bits_written = 0
+
+    def write(self, value: int, bits: int) -> "BitWriter":
+        """Append ``bits`` bits of ``value`` (must fit)."""
+        if bits < 0:
+            raise BitstreamError("bit count must be >= 0")
+        if value < 0 or (bits < 63 and value >= (1 << bits)):
+            raise BitstreamError(f"value {value} does not fit in {bits} bits")
+        self._accum = (self._accum << bits) | value
+        self._accum_bits += bits
+        self.bits_written += bits
+        while self._accum_bits >= 8:
+            self._accum_bits -= 8
+            self._buffer.append((self._accum >> self._accum_bits) & 0xFF)
+        self._accum &= (1 << self._accum_bits) - 1
+        return self
+
+    def write_bytes(self, data: bytes) -> "BitWriter":
+        """Append whole bytes (8 bits each, preserving bit alignment)."""
+        for byte in data:
+            self.write(byte, 8)
+        return self
+
+    def getvalue(self) -> bytes:
+        """The packed bytes, final partial byte zero-padded on the right."""
+        out = bytes(self._buffer)
+        if self._accum_bits:
+            out += bytes([(self._accum << (8 - self._accum_bits)) & 0xFF])
+        return out
+
+
+class BitReader:
+    """Reads values MSB-first from a byte string."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._bit_pos = 0
+
+    @property
+    def bits_remaining(self) -> int:
+        return 8 * len(self._data) - self._bit_pos
+
+    def read(self, bits: int) -> int:
+        """Read ``bits`` bits as an unsigned integer."""
+        if bits < 0:
+            raise BitstreamError("bit count must be >= 0")
+        if bits > self.bits_remaining:
+            raise BitstreamError(
+                f"read of {bits} bits with only {self.bits_remaining} remaining"
+            )
+        value = 0
+        remaining = bits
+        while remaining > 0:
+            byte_index, bit_offset = divmod(self._bit_pos, 8)
+            available = 8 - bit_offset
+            take = min(available, remaining)
+            chunk = self._data[byte_index]
+            chunk >>= available - take
+            chunk &= (1 << take) - 1
+            value = (value << take) | chunk
+            self._bit_pos += take
+            remaining -= take
+        return value
+
+    def read_bytes(self, count: int) -> bytes:
+        """Read ``count`` whole bytes."""
+        return bytes(self.read(8) for _ in range(count))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.util.bits import BitReader, BitWriter, BitstreamError
 
+from . import oracles
+
 
 class TestBitWriter:
     def test_single_byte(self):
@@ -117,3 +119,99 @@ class TestRoundTrip:
     def test_wide_values_round_trip(self, value):
         w = BitWriter().write(value, 62)
         assert BitReader(w.getvalue()).read(62) == value
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return ("ok", call(*args))
+    except Exception as exc:  # the exception is the result
+        return ("raised", type(exc), str(exc))
+
+
+_READ_OPS = st.one_of(
+    st.tuples(st.just("read"), st.integers(min_value=-2, max_value=70)),
+    st.tuples(st.just("read_bytes"), st.integers(min_value=-2, max_value=12)),
+)
+
+_WIDTHS = st.integers(min_value=-2, max_value=70)
+_WRITE_OPS = st.one_of(
+    # values that fit their width
+    _WIDTHS.flatmap(
+        lambda bits: st.tuples(
+            st.just("write"),
+            st.integers(min_value=0, max_value=max(0, (1 << max(bits, 0)) - 1)),
+            st.just(bits),
+        )
+    ),
+    # oversized and negative values
+    st.tuples(
+        st.just("write"), st.integers(min_value=-3, max_value=1 << 80), _WIDTHS
+    ),
+    # fields of 63+ bits skip the range check: wider values get through
+    st.integers(min_value=63, max_value=70).flatmap(
+        lambda bits: st.tuples(
+            st.just("write"),
+            st.integers(min_value=1 << bits, max_value=1 << (bits + 12)),
+            st.just(bits),
+        )
+    ),
+    st.tuples(st.just("write_bytes"), st.binary(max_size=12)),
+    st.tuples(st.just("getvalue")),
+)
+
+
+class TestEquivalenceWithByteAtATimeCodec:
+    """The word-level codec against the byte-at-a-time one it replaced.
+
+    Both implementations get the same operations; every result, every
+    counter and every error (type and message) must agree.
+    """
+
+    @given(st.binary(max_size=24), st.lists(_READ_OPS, max_size=30))
+    def test_reader_interleavings(self, data, ops):
+        new, old = BitReader(data), oracles.BitReader(data)
+        for name, arg in ops:
+            assert _outcome(getattr(new, name), arg) == _outcome(
+                getattr(old, name), arg
+            )
+            assert new.bits_remaining == old.bits_remaining
+
+    @given(st.lists(_WRITE_OPS, max_size=30))
+    def test_writer_interleavings(self, ops):
+        new, old = BitWriter(), oracles.BitWriter()
+        for name, *args in ops:
+            got = _outcome(getattr(new, name), *args)
+            want = _outcome(getattr(old, name), *args)
+            if got[0] == "ok" and name != "getvalue":
+                assert got[1] is new and want[1] is old  # chaining
+            else:
+                assert got == want
+            assert new.bits_written == old.bits_written
+            assert new.getvalue() == old.getvalue()
+
+    @pytest.mark.parametrize("size", range(5))
+    def test_over_reads_at_every_offset(self, size):
+        data = bytes(0xA5 ^ (29 * i) & 0xFF for i in range(size))
+        for skip in range(8 * size + 1):
+            for width in range(-1, 8 * size + 10):
+                new, old = BitReader(data), oracles.BitReader(data)
+                new.read(skip)
+                old.read(skip)
+                assert _outcome(new.read, width) == _outcome(old.read, width)
+                assert new.bits_remaining == old.bits_remaining
+            for count in range(-2, size + 3):
+                new, old = BitReader(data), oracles.BitReader(data)
+                new.read(skip)
+                old.read(skip)
+                assert _outcome(new.read_bytes, count) == _outcome(
+                    old.read_bytes, count
+                )
+                assert new.bits_remaining == old.bits_remaining
+
+    def test_byte_reads_return_bytes(self):
+        data = bytearray(b"\x12\x34\x56")
+        r = BitReader(data)
+        assert type(r.read_bytes(1)) is bytes
+        r.read(4)
+        assert type(r.read_bytes(1)) is bytes

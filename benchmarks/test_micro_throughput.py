@@ -3,7 +3,9 @@
 Not a paper figure — these time the building blocks so performance
 regressions in the simulator or codec are caught: event-queue rate,
 fragmentation/reassembly throughput, AFF frame decoding (the word-level
-bit codec vs the byte-at-a-time one it replaced), selector draw rate,
+bit codec vs the byte-at-a-time one it replaced), the trace pipeline
+(columnar write, line merge and chunked read vs the record-at-a-time
+path in ``tests/oracles.py``), selector draw rate,
 the analytic model's sweep speed, and the Monte Carlo single-trial path
 (the collision-kernel path vs the pre-optimisation implementation, plus
 horizon-shard scaling).  The Monte Carlo benchmark publishes
@@ -171,6 +173,104 @@ def test_codec_decode_ratio():
         f"{old_wall * 1000:.1f} ms, word-level {new_wall * 1000:.1f} ms ({ratio:.2f}x)"
     )
     assert ratio >= 3.0, f"codec decode speedup {ratio:.2f}x below the 3.0x floor"
+
+
+def _trace_oracles():
+    """``tests/oracles.py``, loaded by path (``benchmarks/`` is no package)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tests" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("trace_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_shard(path, records, columnar):
+    """Write ``records`` as one shard, as a traced window range writes it.
+
+    Columnar: each window's run of ``flow.txn`` records goes through one
+    ``emit_columns`` call, everything else through ``emit``.  Otherwise
+    every record is one ``emit``.
+    """
+    from repro.obs.envelope import TraceWriter
+
+    with TraceWriter(path) as writer:
+        for _, group in itertools.groupby(
+            records, key=lambda r: (r.category, r.fields.get("window"))
+        ):
+            group = list(group)
+            if columnar and group[0].category == "flow.txn":
+                writer.emit_columns(
+                    [r.time for r in group],
+                    "flow.txn",
+                    window=[r["window"] for r in group],
+                    identifier=[r["identifier"] for r in group],
+                    collided=[r["collided"] for r in group],
+                )
+            else:
+                for r in group:
+                    writer.emit(r.time, r.category, **r.fields)
+
+
+def test_trace_pipeline_ratio(tmp_path):
+    """Write, merge and read one hybrid trace, record-at-a-time vs now.
+
+    The trace is the ~17k-record hybrid run of the merged-trace golden
+    pin, split into two shards at its middle window.  The old pipeline
+    writes each record with its own ``emit``, merges through
+    ``TraceRecord`` and reads line by line (``tests/oracles.py``); the
+    new one writes each window's ``flow.txn`` records by column, merges
+    lines and reads a chunk at a time.  Both must produce the same shard
+    bytes, merged bytes and records; the new one must be at least 2x
+    faster in this process, best of 3.
+    """
+    from repro.flow.shard import simulate_traced
+    from repro.flow.streams import massive_scenario
+    from repro.obs.envelope import read_trace
+    from repro.obs.merge import merge_shards
+
+    oracles = _trace_oracles()
+    source = tmp_path / "source.jsonl"
+    simulate_traced(
+        massive_scenario(10_000, horizon=60, window=3),
+        1,
+        source,
+        fidelity="hybrid",
+        switch_threshold=70,
+    )
+    records = list(read_trace(source))
+    cut = next(k for k, r in enumerate(records) if r.fields.get("window") == 10)
+    halves = (records[:cut], records[cut:])
+
+    def pipeline(columnar, merge, read, tag):
+        shards = [tmp_path / f"{tag}-{k}.jsonl" for k in range(2)]
+        for shard, half in zip(shards, halves):
+            _write_shard(shard, half, columnar)
+        merge(shards, tmp_path / f"{tag}.jsonl")
+        return list(read(tmp_path / f"{tag}.jsonl"))
+
+    old_wall, old_records = _best_of(
+        lambda: pipeline(False, oracles.merge_shards, oracles.read_trace, "old"),
+        repeats=3,
+    )
+    new_wall, new_records = _best_of(
+        lambda: pipeline(True, merge_shards, read_trace, "new"), repeats=3
+    )
+    for name in ("-0.jsonl", "-1.jsonl", ".jsonl"):
+        assert (tmp_path / f"new{name}").read_bytes() == (tmp_path / f"old{name}").read_bytes()
+    assert [repr(r) for r in new_records] == [repr(r) for r in old_records]
+    # The same records and bytes as the trace they came from, header aside.
+    merged = (tmp_path / "new.jsonl").read_bytes()
+    assert merged.partition(b"\n")[2] == source.read_bytes().partition(b"\n")[2]
+    ratio = old_wall / new_wall
+    print(
+        f"trace write+merge+read, {len(records)} records: record-at-a-time "
+        f"{old_wall * 1000:.1f} ms, columnar/chunked {new_wall * 1000:.1f} ms "
+        f"({ratio:.2f}x)"
+    )
+    assert ratio >= 2.0, f"trace pipeline speedup {ratio:.2f}x below the 2.0x floor"
 
 
 def test_uniform_selector_rate(benchmark):

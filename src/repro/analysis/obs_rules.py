@@ -9,8 +9,8 @@ stable across runs, never assembled at runtime.
 
 ========  ==========================================================
 OBS001    a trace/span category argument (``recorder.emit(t, cat)``,
-          ``writer.emit(t, cat)``, ``span(name)`` /
-          ``prof.span(name)``) is not a string literal
+          ``writer.emit(t, cat)``, ``writer.emit_columns(ts, cat)``,
+          ``span(name)`` / ``prof.span(name)``) is not a string literal
 OBS002    a metric name (``inc(name)`` / ``gauge_max(name, v)`` /
           ``observe(name, v, edges)``) is not a string literal, or a
           histogram's ``edges`` argument is not a constant tuple
@@ -51,8 +51,9 @@ __all__ = ["MetricNameLiteralRule", "TraceCategoryLiteralRule"]
 def _category_arg(call: ast.Call) -> Optional[ast.expr]:
     """The category/name argument of a trace-vocabulary call, if any.
 
-    ``emit`` takes it second (``emit(time, category, **fields)``),
-    ``span`` first (``span(name)``).
+    ``emit`` and ``emit_columns`` take it second (``emit(time,
+    category, **fields)``, ``emit_columns(times, category,
+    **columns)``), ``span`` first (``span(name)``).
     """
     func = call.func
     if isinstance(func, ast.Attribute):
@@ -61,7 +62,7 @@ def _category_arg(call: ast.Call) -> Optional[ast.expr]:
         attr = func.id
     else:
         return None
-    if attr == "emit":
+    if attr in ("emit", "emit_columns"):
         if len(call.args) >= 2:
             return call.args[1]
         for keyword in call.keywords:

@@ -228,23 +228,22 @@ def _collision_records(
 
 def _write_merged_trace(
     spool: pathlib.Path,
-    streams: Sequence[object],
+    sources: Sequence[object],
     meta: Dict[str, object],
 ) -> None:
-    """Merge record streams into ``<spool>/trace.jsonl``.
+    """Merge shard files and record streams into ``<spool>/trace.jsonl``.
 
-    The merged order is keyed ``(time, stream rank, position)`` — see
-    :mod:`repro.obs.merge` — so the bytes depend only on the streams'
-    contents, never on worker scheduling.  Meta deliberately excludes
-    worker/pool configuration: traces from a serial and a pooled run of
-    the same scenario must be byte-identical, header included.
+    The merged order is keyed ``(time, source rank, position)`` — see
+    :mod:`repro.obs.merge` — so the bytes depend only on the sources'
+    contents, never on worker scheduling.  Shard lines are copied as
+    they are; in-memory records are encoded once, as they merge.  Meta
+    deliberately excludes worker/pool configuration: traces from a
+    serial and a pooled run of the same scenario must be byte-identical,
+    header included.
     """
-    from ..obs.envelope import TraceWriter
-    from ..obs.merge import merge_streams
+    from ..obs.merge import merge_shards
 
-    with TraceWriter(spool / "trace.jsonl", meta=meta) as writer:
-        for record in merge_streams(streams):  # type: ignore[arg-type]
-            writer.write(record)
+    merge_shards(sources, spool / "trace.jsonl", meta=meta)  # type: ignore[arg-type]
 
 
 def _trace_meta(
@@ -471,16 +470,13 @@ def _simulate_sharded(
     cuts = [(horizon * index) / shards for index in range(shards + 1)]
     _stitch_segments(segments, cuts)
     if spool is not None:
-        from ..obs.envelope import read_trace
-
-        streams: List[object] = [
-            read_trace(spool / f"segment-{index:04d}.jsonl")
-            for index in range(shards)
+        sources: List[object] = [
+            spool / f"segment-{index:04d}.jsonl" for index in range(shards)
         ]
-        streams.append(_collision_records(segments))
+        sources.append(_collision_records(segments))
         _write_merged_trace(
             spool,
-            streams,
+            sources,
             _trace_meta(
                 id_bits,
                 arrival_rate,

@@ -42,7 +42,7 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from ..analysis.sanitizer.runtime import active_sanitizer
-from .runner import TrialSpec, execute_call
+from .runner import TrialSpec, encode_float, execute_call
 
 __all__ = [
     "NotPoolable",
@@ -107,9 +107,7 @@ def encode_pool_value(value: Any) -> Any:
     if value is None or isinstance(value, (str, int, bool)):
         return value
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return {"__float__": repr(value) if value == value else "nan"}
-        return value
+        return encode_float(value)
     if isinstance(value, (list, tuple)):
         return [encode_pool_value(item) for item in value]
     if isinstance(value, dict):

@@ -67,6 +67,7 @@ __all__ = [
     "TrialSpec",
     "TrialTimeout",
     "decode_jsonable",
+    "encode_float",
     "encode_jsonable",
     "execute_call",
 ]
@@ -83,12 +84,26 @@ class TrialTimeout(Exception):
 # ----------------------------------------------------------------------
 # Transport encoding: JSON with non-finite floats tagged unambiguously
 # ----------------------------------------------------------------------
+def encode_float(value: float) -> Any:
+    """The transport form of one float: itself when finite, else its tag.
+
+    The one rule for non-finite floats (``{"__float__": "nan" | "inf" |
+    "-inf"}``, since ``allow_nan=False`` JSON cannot carry them); the pool
+    transport and the obs layer's canonical numbers call it too.
+    """
+    if value != value:
+        return {"__float__": "nan"}
+    if value in (float("inf"), float("-inf")):
+        # Spelled out rather than ``repr``: a NumPy float64 reprs as
+        # ``np.float64(inf)``, which ``float()`` cannot read back.
+        return {"__float__": "inf" if value > 0 else "-inf"}
+    return value
+
+
 def encode_jsonable(value: Any) -> Any:
     """Encode ``value`` for the result pipe / cache (JSON, no NaN)."""
-    if isinstance(value, float) and value != value:
-        return {"__float__": "nan"}
-    if isinstance(value, float) and value in (float("inf"), float("-inf")):
-        return {"__float__": repr(value)}
+    if isinstance(value, float):
+        return encode_float(value)
     if isinstance(value, (list, tuple)):
         return [encode_jsonable(item) for item in value]
     if isinstance(value, dict):

@@ -94,10 +94,12 @@ def frame_window(
     ``a`` before ``b`` collide iff ``a.start + a.duration > b.start``,
     the same criterion and tie rule as the Monte Carlo ground truth.
 
-    With ``writer`` the window streams one record per transaction in
-    arrival order (strictly inside ``(t0, t1)``, so a range shard's
-    records stay time-sorted around the window boundary records the
-    caller emits at ``t0``/``t1``).
+    With ``writer`` the window writes one ``flow.txn`` record per
+    transaction in arrival order, all through one
+    :meth:`~repro.obs.envelope.TraceWriter.emit_columns` call (times
+    strictly inside ``(t0, t1)``, so a range shard's records stay
+    time-sorted around the window boundary records the caller emits at
+    ``t0``/``t1``).
     """
     arrivals: List[float] = []
     durations: List[float] = []
@@ -127,16 +129,13 @@ def frame_window(
         identifiers = np.array([sample(id_rng) for _ in range(n)], dtype=np.int64)
     flags = collided_flags(start, end, identifiers)
     if writer is not None:
-        for when, ident, collided in zip(
-            start.tolist(), identifiers.tolist(), flags.tolist()
-        ):
-            writer.emit(
-                when,
-                "flow.txn",
-                window=spec.index,
-                identifier=ident,
-                collided=collided,
-            )
+        writer.emit_columns(
+            start.tolist(),
+            "flow.txn",
+            window=[spec.index] * n,
+            identifier=identifiers.tolist(),
+            collided=flags.tolist(),
+        )
     return WindowOutcome(
         index=spec.index,
         fidelity="frame",

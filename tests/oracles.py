@@ -26,18 +26,45 @@ the reader walks the buffer one byte chunk per loop step and
 accumulator one byte per loop step.  The equivalence properties in
 ``tests/test_util_bits.py`` drive both with the same operations and
 compare values, counters and errors.
+
+Record-at-a-time trace codec
+----------------------------
+:func:`_record_line`, :func:`emit`, :func:`read_trace`,
+:func:`merge_streams` and :func:`merge_shards` are the trace path of
+:mod:`repro.obs` before records were written by column, read a chunk
+at a time and merged line by line: every record is encoded with its own
+``json.dumps``, parsed with its own ``json.loads`` and, in a merge,
+decoded into a :class:`~repro.sim.trace.TraceRecord` and encoded again.
+``tests/test_obs_trace_equivalence.py`` compares the bytes, records and
+errors of the two paths.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
+import pathlib
 import random
-from typing import List, Optional, Sequence
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.core.identifiers import IdentifierSpace
 from repro.core.montecarlo import DurationSampler, MonteCarloResult
 from repro.core.transactions import TransactionLog
+from repro.exec.runner import decode_jsonable, encode_jsonable
+from repro.obs.envelope import TraceReadError, TraceWriter, _parse_header
 from repro.sim.rng import fallback_stream
+from repro.sim.trace import TraceRecord
 from repro.util.bits import BitstreamError
 
 
@@ -233,3 +260,120 @@ class BitReader:
     def read_bytes(self, count: int) -> bytes:
         """Read ``count`` whole bytes."""
         return bytes(self.read(8) for _ in range(count))
+
+
+# ----------------------------------------------------------------------
+# Record-at-a-time trace codec
+# ----------------------------------------------------------------------
+PathLike = Union[str, pathlib.Path]
+
+
+def _record_line(record: TraceRecord) -> str:
+    """The canonical one-line form of a record (deterministic bytes)."""
+    body = {
+        "t": encode_jsonable(record.time),
+        "c": record.category,
+        "f": encode_jsonable(dict(record.fields)),
+    }
+    return json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def emit(out: TextIO, time: float, category: str, **fields: Any) -> None:
+    """Write one record line to ``out`` (``TraceWriter.emit``'s bytes)."""
+    out.write(_record_line(TraceRecord(time=time, category=category, fields=fields)) + "\n")
+
+
+def read_trace(path: PathLike) -> Iterator[TraceRecord]:
+    """Stream the records of a trace, verifying header and footer.
+
+    Raises :class:`TraceReadError` for a wrong kind/schema, a malformed
+    line, or a missing/disagreeing footer (truncation).  The error for
+    a truncated file surfaces only after the intact prefix has been
+    yielded — callers that must not observe partial traces should drain
+    into a list (:func:`load_trace`) or pre-validate.
+    """
+    target = pathlib.Path(path)
+    with target.open("r", encoding="utf-8") as inp:
+        first = inp.readline()
+        if not first:
+            raise TraceReadError(f"{target}: empty file")
+        _parse_header(target, first)
+        count = 0
+        footer: Optional[Dict[str, Any]] = None
+        for lineno, line in enumerate(inp, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            if footer is not None:
+                raise TraceReadError(f"{target}:{lineno}: data after footer")
+            try:
+                body = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceReadError(
+                    f"{target}:{lineno}: not valid JSON ({exc})"
+                ) from exc
+            if not isinstance(body, dict):
+                raise TraceReadError(f"{target}:{lineno}: not an object")
+            if body.get("end") is True:
+                footer = body
+                continue
+            if not {"t", "c", "f"} <= set(body):
+                raise TraceReadError(f"{target}:{lineno}: malformed record")
+            fields = decode_jsonable(body["f"])
+            if not isinstance(fields, dict):
+                raise TraceReadError(f"{target}:{lineno}: fields not an object")
+            count += 1
+            yield TraceRecord(
+                time=float(decode_jsonable(body["t"])),
+                category=str(body["c"]),
+                fields=fields,
+            )
+        if footer is None:
+            raise TraceReadError(
+                f"{target}: no footer — file truncated after {count} record(s)"
+            )
+        declared = footer.get("records")
+        if declared != count:
+            raise TraceReadError(
+                f"{target}: footer declares {declared!r} records, read {count}"
+            )
+
+
+_Keyed = Tuple[Tuple[float, int, int], TraceRecord]
+
+
+def _keyed_records(
+    rank: int, records: Iterable[TraceRecord]
+) -> Iterator[_Keyed]:
+    for position, record in enumerate(records):
+        yield (record.time, rank, position), record
+
+
+def merge_streams(
+    streams: Sequence[Iterable[TraceRecord]],
+) -> Iterator[TraceRecord]:
+    """Merge already-time-ordered record streams into one.
+
+    Equal-time records keep stream order (earlier stream first), then
+    within-stream order — the total order every trace export uses.
+    """
+    keyed = [_keyed_records(rank, stream) for rank, stream in enumerate(streams)]
+    for _, record in heapq.merge(*keyed):
+        yield record
+
+
+def merge_records(shard_paths: Sequence[PathLike]) -> Iterator[TraceRecord]:
+    """Stream the records of several shards in merged ``(time, shard)`` order."""
+    return merge_streams([read_trace(path) for path in shard_paths])
+
+
+def merge_shards(
+    shard_paths: Sequence[PathLike],
+    out_path: PathLike,
+    meta: Optional[Dict[str, Any]] = None,
+) -> int:
+    """Merge shard traces into one trace at ``out_path``; returns record count."""
+    with TraceWriter(out_path, meta=meta) as writer:
+        for record in merge_records(shard_paths):
+            writer.write(record)
+        return writer.records

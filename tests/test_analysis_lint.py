@@ -360,6 +360,16 @@ class TestObservabilityRules:
         )
         assert rule_ids(findings) == ["OBS001"]
 
+    def test_obs001_flags_computed_emit_columns_category(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "def run(writer, kind, times):\n"
+            "    writer.emit_columns(times, 'flow.' + kind, window=[1])\n"
+            "    writer.emit_columns(times, 'flow.txn', window=[1])\n",
+        )
+        assert rule_ids(findings) == ["OBS001"]
+        assert findings[0].line == 2
+
     def test_obs001_allows_literal_categories(self, tmp_path):
         findings = lint_source(
             tmp_path,

@@ -54,6 +54,18 @@ class TestSerialParallelEquality:
             assert outcomes[0].ok and outcomes[0].value != outcomes[0].value
             assert outcomes[1].value == {"x": [float("inf"), 1.5]}
 
+    def test_numpy_nonfinite_floats_round_trip_the_transport(self):
+        import numpy as np
+
+        from repro.exec.runner import decode_jsonable, encode_float, encode_jsonable
+
+        values = [np.float64("inf"), np.float64("-inf"), float("inf")]
+        encoded = encode_jsonable(values)
+        assert encoded == [{"__float__": "inf"}, {"__float__": "-inf"}, {"__float__": "inf"}]
+        assert decode_jsonable(json.loads(json.dumps(encoded))) == values
+        assert encode_float(np.float64("nan")) == {"__float__": "nan"}
+        assert encode_float(np.float64(1.5)) == 1.5
+
 
 class TestShardingAndOrdering:
     def test_outcomes_align_with_specs_and_round_robin_workers(self):

@@ -124,6 +124,11 @@ class _Recorder:
     def emit(self, when, category, **fields):
         self.records.append((when, category, fields))
 
+    def emit_columns(self, times, category, **columns):
+        names = sorted(columns)
+        for k, when in enumerate(times):
+            self.emit(when, category, **{name: columns[name][k] for name in names})
+
 
 class TestFrameWindowPaths:
     """The identifier fast path and the scalar loop give the same window."""

@@ -394,3 +394,56 @@ class TestFigure4TrialGolden:
             value = getattr(results[0], f.name)
             observed[f.name] = float.hex(value) if isinstance(value, float) else value
         assert observed == self.OBSERVABLES[(selector, id_bits)]
+
+
+class TestMergedTraceBytesGolden:
+    """Pin the merged trace bytes of the two sharded trace exports.
+
+    The hybrid run has frame windows, so its trace holds ~17k
+    ``flow.txn`` records between the ``flow.window`` / ``flow.outcome``
+    records; one shard and three shards must merge to the same bytes.
+    The two-segment Monte Carlo trace merges the segment shards with the
+    parent's in-memory ``txn.collision`` stream.  Both pins cover the
+    whole pipeline: record encoding, shard reading and the k-way merge.
+    """
+
+    HYBRID_TRACE_SHA256 = (
+        "99a4596572b3129b7a5bd5a90f2a0d7f665339f91907f68593f9d2c4511de8c2"
+    )
+    MONTECARLO_TRACE_SHA256 = (
+        "87190ec31566c26fe806aa89f691c70e42920dee781c33eb04bb3e3110dbdb3c"
+    )
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_hybrid_merged_trace(self, tmp_path, shards):
+        import hashlib
+
+        from repro.flow.shard import simulate_traced
+        from repro.flow.streams import massive_scenario
+
+        path = tmp_path / "trace.jsonl"
+        result = simulate_traced(
+            massive_scenario(10_000, horizon=60, window=3),
+            1,
+            path,
+            fidelity="hybrid",
+            switch_threshold=70,
+            shards=shards,
+        )
+        assert (result.transactions, result.collisions) == (124780, 16034)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.HYBRID_TRACE_SHA256
+
+    def test_sharded_montecarlo_trace(self, tmp_path):
+        import hashlib
+
+        from repro.obs.record import record_montecarlo
+
+        path = tmp_path / "trace.jsonl"
+        result = record_montecarlo(
+            path, id_bits=5, rate=6.0, horizon=150.0, warmup=4.0, seed=11,
+            shards=2,
+        )
+        assert result["transactions"] == 912
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.MONTECARLO_TRACE_SHA256

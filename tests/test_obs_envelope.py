@@ -24,7 +24,7 @@ from repro.obs.envelope import (
     read_trace,
     write_trace,
 )
-from repro.obs.merge import collect_shards, merge_shards, merge_streams
+from repro.obs.merge import collect_shards, merge_shards
 from repro.obs.record import summarize_trace
 from repro.sim.trace import TraceRecord
 
@@ -128,10 +128,13 @@ class TestEnvelopeFailureModes:
 
 
 class TestMerge:
-    def test_equal_times_keep_stream_order(self):
+    def test_equal_times_keep_stream_order(self, tmp_path):
         first = [TraceRecord(1.0, "a", {"s": 0}), TraceRecord(2.0, "a", {"s": 0})]
         second = [TraceRecord(1.0, "b", {"s": 1}), TraceRecord(1.5, "b", {"s": 1})]
-        merged = list(merge_streams([first, second]))
+        write_trace(tmp_path / "first.jsonl", iter(first))
+        # One source a shard file, one in memory: both kinds rank alike.
+        merge_shards([tmp_path / "first.jsonl", second], tmp_path / "merged.jsonl")
+        merged = list(read_trace(tmp_path / "merged.jsonl"))
         assert [(r.time, r.category) for r in merged] == [
             (1.0, "a"),  # stream 0 wins the tie at t=1.0
             (1.0, "b"),

@@ -56,16 +56,42 @@ def _run_collision(trace: pathlib.Path) -> Dict[str, Any]:
 
 
 def _run_montecarlo(trace: pathlib.Path) -> Dict[str, Any]:
-    """A sharded Monte Carlo run — exercises the fork + merge pipeline."""
+    """A serial Monte Carlo trial: one stream, kernel flags, a two-stream merge."""
     from ...obs.record import record_montecarlo
 
     return record_montecarlo(
-        trace, id_bits=6, rate=5.0, horizon=40.0, mean_duration=1.0, seed=0, shards=2
+        trace, id_bits=6, rate=5.0, horizon=40.0, mean_duration=1.0, seed=0
     )
+
+
+def _run_flow(trace: pathlib.Path) -> Dict[str, Any]:
+    """A two-shard hybrid flow run — exercises the range shard merge.
+
+    Small enough to run inline (no worker fork); two of its ten windows
+    escalate to frame fidelity, so the trace holds ``flow.txn`` records.
+    """
+    from ...flow.shard import simulate_traced
+    from ...flow.streams import massive_scenario
+
+    result = simulate_traced(
+        massive_scenario(2_000, horizon=30.0, window=3.0),
+        1,
+        trace,
+        fidelity="hybrid",
+        switch_threshold=15.0,
+        shards=2,
+    )
+    return {
+        "scenario": "flow",
+        "transactions": result.transactions,
+        "collisions": result.collisions,
+        "frame_windows": result.frame_windows,
+    }
 
 
 SCENARIOS: Dict[str, PinnedScenario] = {
     "collision": PinnedScenario("collision", _run_collision),
+    "flow": PinnedScenario("flow", _run_flow),
     "montecarlo": PinnedScenario("montecarlo", _run_montecarlo),
 }
 
@@ -77,6 +103,7 @@ _PRELOAD = (
     "repro.exec.pool",
     "repro.experiments.harness",
     "repro.core.montecarlo",
+    "repro.flow.shard",
     "repro.obs.record",
 )
 

@@ -68,6 +68,11 @@ def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] =
         "--no-pool", dest="pool", action="store_false",
         help="force per-run forked workers (the default)",
     )
+    _add_observe_flags(group)
+
+
+def _add_observe_flags(group: argparse._ActionsContainer) -> None:
+    """The observational options: span profiling and metrics snapshots."""
     group.add_argument(
         "--profile", action="store_true",
         help="profile per-layer wall time inside trials (observational "
@@ -314,13 +319,11 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         warmup=args.warmup,
         runner=runner,
-        shards=args.shards,
     )
     density = args.rate * args.mean_duration
     table = Table(
         f"Monte Carlo: H={args.id_bits} bits, lambda={args.rate}/s, "
-        f"horizon={args.horizon:.0f}s x {args.trials} trial(s), "
-        f"shards={args.shards}",
+        f"horizon={args.horizon:.0f}s x {args.trials} trial(s)",
         ["quantity", "value"],
     )
     table.add_row("model P(collision), T=lambda*d", float(
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser(
         "montecarlo",
-        help="ground-truth collision trial (optionally horizon-sharded)",
+        help="replicated ground-truth collision trials",
     )
     mc.add_argument("--id-bits", type=int, default=8)
     mc.add_argument("--rate", type=float, default=5.0,
@@ -472,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "instead of exponential")
     mc.add_argument("--trials", type=int, default=2)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--shards", type=int, default=1,
-                    help="split each trial's horizon into this many "
-                    "derived-seed time segments (results depend on "
-                    "(seed, shards) only; see docs/parallel.md)")
     _add_exec_flags(mc)
     mc.set_defaults(func=_cmd_montecarlo)
 

@@ -24,7 +24,6 @@ from .keys import (
     canonical_point,
     canonical_value,
     derive_trial_seed,
-    segment_seed,
     trial_key,
 )
 from .pool import NotPoolable, WorkerPool, register_pool_dataclass
@@ -55,6 +54,5 @@ __all__ = [
     "canonical_value",
     "derive_trial_seed",
     "register_pool_dataclass",
-    "segment_seed",
     "trial_key",
 ]

@@ -134,20 +134,6 @@ class RunTelemetry:
         registry.merge_json(table)
         self.metrics = registry.to_json()
 
-    def shard_timings(self) -> Dict[str, float]:
-        """Per-segment wall times of a sharded trial, keyed by label.
-
-        Horizon-sharded Monte Carlo trials label their segment specs
-        ``segment:<index>`` (see :mod:`repro.core.montecarlo`); this
-        pulls those records out so callers can see where a sharded
-        trial's critical path is.
-        """
-        return {
-            record.label: record.duration
-            for record in self.records
-            if record.label.startswith("segment:") and not record.cached
-        }
-
     def worker_utilization(self) -> Dict[int, float]:
         """Fraction of the run's wall time each worker spent computing."""
         if self.wall_time <= 0.0:
@@ -208,10 +194,6 @@ class RunTelemetry:
             "worker_tasks": {
                 str(worker): tasks
                 for worker, tasks in sorted(self.worker_tasks.items())
-            },
-            "shard_timings": {
-                label: round(value, 6)
-                for label, value in self.shard_timings().items()
             },
         }
         if self.spans:

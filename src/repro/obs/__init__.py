@@ -15,11 +15,11 @@ without perturbing it:
   exported traces (``repro obs why``).
 * :mod:`.envelope` — a versioned, streaming JSONL envelope for
   :class:`repro.sim.trace.TraceRecord` streams.
-* :mod:`.merge` — heap-merge of per-worker/per-segment trace shards
-  into one deterministically ordered stream.
+* :mod:`.merge` — heap-merge of per-range trace shards into one
+  deterministically ordered stream.
 * :mod:`.diff` — field-by-field comparison of two traces; the
-  mechanical check that ``shards=N``/``--pool`` runs are bit-identical
-  to serial.
+  mechanical check that sharded and pooled runs are bit-identical to
+  serial.
 * :mod:`.record` / :mod:`.cli` — ``python -m repro obs
   {record,summary,top,diff}``.
 

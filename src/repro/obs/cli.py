@@ -2,11 +2,11 @@
 
 ::
 
-    repro obs record --scenario montecarlo --shards 2 --out trace.jsonl
-    repro obs record --scenario montecarlo --shards 2 --workers 2 --pool \\
-        --out pooled.jsonl
-    repro obs diff trace.jsonl pooled.jsonl       # exit 0: bit-identical
+    repro obs record --scenario montecarlo --out trace.jsonl
+    PYTHONHASHSEED=1 repro obs record --scenario montecarlo --out again.jsonl
+    repro obs diff trace.jsonl again.jsonl        # exit 0: bit-identical
     repro obs summary trace.jsonl
+    repro obs why --lost --trace trace.jsonl
     repro obs top --summary SUMMARY.json -n 10
 
 ``obs diff`` exit codes: 0 identical, 1 diverged (first divergence and
@@ -31,63 +31,44 @@ __all__ = ["configure_parser"]
 def _cmd_record(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
-    from ..cli import _finish_exec, _make_runner
-
     from . import record
     from .spans import SpanProfiler, profiling
 
-    runner = _make_runner(args)
     profiler: Optional[SpanProfiler] = SpanProfiler() if args.profile else None
-    try:
-        with profiling(profiler) if profiler is not None else nullcontext():
-            if args.scenario == "montecarlo":
-                result = record.record_montecarlo(
-                    args.out,
-                    id_bits=args.id_bits,
-                    rate=args.rate,
-                    horizon=args.horizon,
-                    warmup=args.warmup,
-                    mean_duration=args.mean_duration,
-                    fixed_duration=args.fixed_duration,
-                    seed=args.seed,
-                    shards=args.shards,
-                    runner=runner,
-                )
-            else:
-                result = record.record_collision(
-                    args.out,
-                    id_bits=args.id_bits,
-                    n_senders=args.senders,
-                    duration=args.duration,
-                    selector=args.selector,
-                    seed=args.seed,
-                )
-        summary = record.summarize_trace(args.out)
-        print(
-            f"recorded {summary['records']} record(s) "
-            f"({args.scenario}) into {args.out}"
-        )
-        if args.summary:
-            spans: Dict[str, Dict[str, float]] = {}
-            if profiler is not None:
-                spans = profiler.to_json()
-            if runner.telemetry.spans:
-                merged = SpanProfiler()
-                merged.merge(spans)
-                merged.merge(runner.telemetry.spans)
-                spans = merged.to_json()
-            record.write_summary(
-                args.summary,
+    with profiling(profiler) if profiler is not None else nullcontext():
+        if args.scenario == "montecarlo":
+            result = record.record_montecarlo(
                 args.out,
-                result,
-                spans=spans or None,
-                telemetry=(
-                    runner.telemetry.summary() if runner.telemetry.trials else None
-                ),
+                id_bits=args.id_bits,
+                rate=args.rate,
+                horizon=args.horizon,
+                warmup=args.warmup,
+                mean_duration=args.mean_duration,
+                fixed_duration=args.fixed_duration,
+                seed=args.seed,
             )
-            print(f"wrote {args.summary}")
-    finally:
-        _finish_exec(runner, args)
+        else:
+            result = record.record_collision(
+                args.out,
+                id_bits=args.id_bits,
+                n_senders=args.senders,
+                duration=args.duration,
+                selector=args.selector,
+                seed=args.seed,
+            )
+    summary = record.summarize_trace(args.out)
+    print(
+        f"recorded {summary['records']} record(s) "
+        f"({args.scenario}) into {args.out}"
+    )
+    if args.summary:
+        record.write_summary(
+            args.summary,
+            args.out,
+            result,
+            spans=profiler.to_json() if profiler is not None else None,
+        )
+        print(f"wrote {args.summary}")
     return 0
 
 
@@ -210,7 +191,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``obs`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags
+    from ..cli import _add_observe_flags
 
     sub = parser.add_subparsers(dest="obs_command", required=True)
 
@@ -234,15 +215,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     mc.add_argument("--warmup", type=float, default=0.0)
     mc.add_argument("--mean-duration", type=float, default=1.0)
     mc.add_argument("--fixed-duration", action="store_true")
-    mc.add_argument("--shards", type=int, default=1,
-                    help="horizon segments; the exported trace is "
-                    "byte-identical at any worker count")
     col = rec.add_argument_group("collision scenario")
     col.add_argument("--senders", type=int, default=5)
     col.add_argument("--duration", type=float, default=10.0)
     col.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")
-    _add_exec_flags(rec)
+    _add_observe_flags(rec.add_argument_group("observation"))
     rec.set_defaults(func=_cmd_record)
 
     summ = sub.add_parser("summary", help="summarize an exported trace")

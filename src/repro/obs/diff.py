@@ -1,7 +1,7 @@
 """Field-by-field comparison of two exported traces.
 
 ``python -m repro obs diff`` turns the parallelism correctness story
-("``shards=N``/``--pool`` runs are bit-identical to serial") into a
+("sharded and pooled runs are bit-identical to serial") into a
 mechanical check: record two traces of the same scenario, diff them,
 exit 0.  The comparison is streaming — both traces are walked in
 lockstep, so diffing million-event traces needs constant memory — and

@@ -1,7 +1,7 @@
 """Merge per-worker trace shards into one ordered trace, line by line.
 
-Forked workers (and sharded-horizon segments) each stream their records
-into their own shard file; the parent folds the shards into a single
+Each flow window range streams its records into its own shard file,
+in whichever worker computes it; the parent folds the shards into a single
 trace with :func:`heapq.merge`, a streaming k-way merge that holds one
 chunk of lines (:data:`~repro.obs.envelope.CHUNK_LINES`) per shard in
 memory, never a whole shard.
@@ -9,7 +9,7 @@ memory, never a whole shard.
 Ordering must be total and independent of worker scheduling for the
 merged trace to be byte-identical to a serial export.  Records are
 keyed ``(time, shard_rank, position)``: shard rank is the shard's index
-in the sorted shard list (which encodes segment order in its file
+in the sorted shard list (which encodes range order in its file
 names), position the record's index within its shard.  Equal-time
 records therefore keep shard-major, then FIFO, order — exactly the
 order a serial run emits them in.
@@ -22,8 +22,8 @@ comparison and are re-encoded alone; a chunk that fails it is
 re-encoded whole.  So every line that is not already canonical — a
 tagged float, an extra key, other spacing — is re-encoded from its
 decoded record, exactly as a record-level merge would write it.
-In-memory record streams (Monte Carlo's post-stitch ``txn.collision``
-records) join the merge as further ranks, encoded as they are merged.
+In-memory record streams (a Monte Carlo trial's begin/end and
+``txn.collision`` streams) join the merge as further ranks, encoded as they are merged.
 """
 
 from __future__ import annotations

@@ -109,7 +109,6 @@ class TestMonteCarloCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
         assert args.id_bits == 8
-        assert args.shards == 1
         assert args.pool is False
 
     def test_quick_run_prints_table(self, capsys):
@@ -120,15 +119,6 @@ class TestMonteCarloCommand:
         out = capsys.readouterr().out
         assert "Monte Carlo: H=5 bits" in out
         assert "simulated collision rate (mean)" in out
-
-    def test_sharded_pooled_run(self, capsys):
-        assert main([
-            "montecarlo", "--id-bits", "5", "--rate", "4",
-            "--horizon", "40", "--trials", "2", "--shards", "2",
-            "--workers", "2", "--pool", "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out + capsys.readouterr().err
-        assert "shards=2" in out
 
 
 class TestCacheCommand:

@@ -1,6 +1,5 @@
 """Tests for the mixed-duration model extension and its Monte Carlo oracle."""
 
-import itertools
 import math
 import random
 
@@ -16,7 +15,6 @@ from repro.core.model import (
 from repro.core.montecarlo import (
     ExponentialDuration,
     FixedDuration,
-    _generate_arrivals,
     replicate_collision_rate,
     simulate_collision_rate,
 )
@@ -235,137 +233,9 @@ class TestFastCoreGoldenPins:
         assert by_seed == by_rng
 
 
-class TestSharding:
-    PIN_SMALL = (949, 0.12539515279241306, 4.561522717310129)
-    PIN_LONG = (24063, 0.02169305572871213, 11.909173485859137)
-
-    def _small(self, runner=None, shards=4):
-        return simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=200.0,
-            warmup=2.0, seed=42, shards=shards, runner=runner,
-        )
-
-    def test_sharded_pins(self):
-        mc = self._small()
-        assert (mc.transactions, mc.collision_rate, mc.measured_density) == (
-            self.PIN_SMALL
-        )
-        long = simulate_collision_rate(
-            10, 12.0, ExponentialDuration(1.0), horizon=2000.0, seed=9, shards=4
-        )
-        assert (long.transactions, long.collision_rate,
-                long.measured_density) == self.PIN_LONG
-
-    def test_deterministic_across_worker_counts_and_repeats(self):
-        from repro.exec import TrialRunner
-
-        baseline = self._small()
-        for workers in (1, 3):
-            assert self._small(runner=TrialRunner(workers=workers)) == baseline
-        assert self._small() == baseline
-
-    def test_stitch_matches_brute_force_oracle(self):
-        """Sharded collision counts equal O(n^2) overlap ground truth."""
-        from repro.core.identifiers import IdentifierSpace
-        from repro.exec.keys import segment_seed
-
-        bits, rate, horizon = 5, 4.0, 60.0
-        for seed, shards in itertools.product((1, 2, 3), (2, 3, 5)):
-            txns = []
-            for i in range(shards):
-                lo = (horizon * i) / shards
-                hi = (horizon * (i + 1)) / shards
-                rng = random.Random(segment_seed(seed, i))
-                starts, durations = _generate_arrivals(
-                    rate, ExponentialDuration(1.0), rng, lo, hi
-                )
-                space = IdentifierSpace(bits)
-                idents = [space.sample(rng) for _ in starts]
-                txns += [
-                    (starts[k], starts[k] + durations[k], idents[k])
-                    for k in range(len(starts))
-                ]
-            collided = set()
-            for a in range(len(txns)):
-                for b in range(a + 1, len(txns)):
-                    sa, ea, ia = txns[a]
-                    sb, eb, ib = txns[b]
-                    if ia == ib and sa < eb and sb < ea:
-                        collided.add(a)
-                        collided.add(b)
-
-            mc = simulate_collision_rate(
-                bits, rate, ExponentialDuration(1.0),
-                horizon=horizon, seed=seed, shards=shards,
-            )
-            assert mc.transactions == len(txns)
-            assert round(mc.collision_rate * mc.transactions) == len(collided)
-
-    def test_warmup_excludes_early_transactions(self):
-        full = simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=100.0, seed=8, shards=2
-        )
-        warmed = simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=100.0, seed=8,
-            shards=2, warmup=50.0,
-        )
-        assert 0 < warmed.transactions < full.transactions
-
-    def test_empty_segments_give_nan(self):
-        mc = simulate_collision_rate(
-            8, 0.0001, FixedDuration(1.0), horizon=1.0, seed=1, shards=2
-        )
-        assert mc.transactions == 0
-        assert math.isnan(mc.collision_rate)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_collision_rate(6, 5.0, FixedDuration(1.0), shards=0)
-        with pytest.raises(ValueError):  # shards>1 needs a seed
-            simulate_collision_rate(6, 5.0, FixedDuration(1.0), shards=2)
-        with pytest.raises(ValueError):  # rng cannot be split into segments
-            simulate_collision_rate(
-                6, 5.0, FixedDuration(1.0), shards=2, seed=1,
-                rng=random.Random(1),
-            )
-
-    def test_sharded_failure_surfaces_as_exec_error(self):
-        from repro.exec import ExecError
-
-        with pytest.raises(ExecError):
-            # A negative-duration sampler fails inside every segment.
-            simulate_collision_rate(
-                6, 5.0, FixedDuration(-1.0), horizon=10.0, seed=1, shards=2
-            )
-
-
 class TestReplication:
-    def test_shards_one_is_the_classic_point(self):
-        """shards=1 must not perturb derived seeds or recorded results."""
-        classic = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=50.0
-        )
-        explicit = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=50.0, shards=1
-        )
-        assert classic == explicit
-
-    def test_sharded_replication_is_deterministic(self):
-        first = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=60.0, shards=3
-        )
-        second = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=60.0, shards=3
-        )
-        assert first == second
-        assert not math.isnan(first[0])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             replicate_collision_rate(
                 6, 5.0, ExponentialDuration(1.0), trials=0
-            )
-        with pytest.raises(ValueError):
-            replicate_collision_rate(
-                6, 5.0, ExponentialDuration(1.0), trials=1, shards=0
             )

@@ -397,21 +397,17 @@ class TestFigure4TrialGolden:
 
 
 class TestMergedTraceBytesGolden:
-    """Pin the merged trace bytes of the two sharded trace exports.
+    """Pin the merged trace bytes of a range-sharded trace export.
 
     The hybrid run has frame windows, so its trace holds ~17k
     ``flow.txn`` records between the ``flow.window`` / ``flow.outcome``
     records; one shard and three shards must merge to the same bytes.
-    The two-segment Monte Carlo trace merges the segment shards with the
-    parent's in-memory ``txn.collision`` stream.  Both pins cover the
-    whole pipeline: record encoding, shard reading and the k-way merge.
+    The pin covers the whole pipeline: record encoding, shard reading
+    and the k-way merge.
     """
 
     HYBRID_TRACE_SHA256 = (
         "99a4596572b3129b7a5bd5a90f2a0d7f665339f91907f68593f9d2c4511de8c2"
-    )
-    MONTECARLO_TRACE_SHA256 = (
-        "87190ec31566c26fe806aa89f691c70e42920dee781c33eb04bb3e3110dbdb3c"
     )
 
     @pytest.mark.parametrize("shards", [1, 3])
@@ -433,17 +429,3 @@ class TestMergedTraceBytesGolden:
         assert (result.transactions, result.collisions) == (124780, 16034)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.HYBRID_TRACE_SHA256
-
-    def test_sharded_montecarlo_trace(self, tmp_path):
-        import hashlib
-
-        from repro.obs.record import record_montecarlo
-
-        path = tmp_path / "trace.jsonl"
-        result = record_montecarlo(
-            path, id_bits=5, rate=6.0, horizon=150.0, warmup=4.0, seed=11,
-            shards=2,
-        )
-        assert result["transactions"] == 912
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == self.MONTECARLO_TRACE_SHA256

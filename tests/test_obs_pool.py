@@ -1,10 +1,10 @@
 """Cross-process trace export: byte-identity and crash semantics.
 
-Two load-bearing properties of ``repro obs record``:
+Two load-bearing properties of sharded trace export:
 
-* the merged trace of a ``shards=N`` run through a worker pool is
-  byte-identical to the serial export of the same scenario — trace
-  bytes are a pure function of ``(seed, shards)``;
+* the merged trace of a range-sharded flow run through a worker pool
+  is byte-identical to the serial export of the same scenario — trace
+  bytes are a pure function of the scenario and seed;
 * a worker that crashes mid-shard leaves only an orphan ``.tmp`` that
   shard collection drops whole — partial shards are complete-or-
   excluded, never truncated mid-record — and the respawned worker
@@ -16,12 +16,18 @@ import pathlib
 
 from repro.cli import main
 from repro.exec import TrialRunner, TrialSpec, WorkerPool
+from repro.flow.shard import simulate_traced
+from repro.flow.streams import massive_scenario
 from repro.obs.envelope import read_trace, write_trace
 from repro.obs.merge import collect_shards, merge_shards
 from repro.obs.record import record_montecarlo
 from repro.sim.trace import TraceRecord
 
-SCENARIO = dict(id_bits=6, rate=5.0, horizon=40.0, seed=3, shards=2)
+# Two of its ten windows escalate to frame fidelity, so the trace
+# carries flow.txn records from more than one range.
+FLOW_SCENARIO = massive_scenario(2_000, horizon=30.0, window=3.0)
+FLOW_RUN = dict(fidelity="hybrid", switch_threshold=15.0)
+MONTECARLO = dict(id_bits=6, rate=5.0, horizon=40.0, seed=3)
 
 
 # Module-level so the pool can transport it by module:qualname reference.
@@ -55,11 +61,13 @@ def flaky_shard_writer(spool, marker):
 class TestPooledTraceIdentity:
     def test_pooled_trace_bytes_match_serial(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
-        serial_result = record_montecarlo(serial, **SCENARIO)
+        serial_result = simulate_traced(FLOW_SCENARIO, 3, serial, **FLOW_RUN)
         pooled = tmp_path / "pooled.jsonl"
         with WorkerPool(workers=2) as pool:
             runner = TrialRunner(workers=2, pool=pool, profile=True)
-            pooled_result = record_montecarlo(pooled, runner=runner, **SCENARIO)
+            pooled_result = simulate_traced(
+                FLOW_SCENARIO, 3, pooled, shards=3, runner=runner, **FLOW_RUN
+            )
         assert pooled_result == serial_result
         assert pooled.read_bytes() == serial.read_bytes()
         # Profiling crossed the pool pipe without touching the trace.
@@ -68,7 +76,7 @@ class TestPooledTraceIdentity:
 
     def test_perturbed_trace_diff_exits_nonzero(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"
-        record_montecarlo(good, **SCENARIO)
+        record_montecarlo(good, **MONTECARLO)
         bad = tmp_path / "bad.jsonl"
         lines = good.read_text().splitlines()
         lines[5] = lines[5].replace('"txn.', '"txnX.', 1)
